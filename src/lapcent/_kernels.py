@@ -1,10 +1,5 @@
 """Hot numeric kernels: seeded random-walk simulation and exhaustive tree scans.
 
-Kernels are written in nopython-compatible numpy and compiled with numba's
-@njit by default. Setting the environment variable LAPCENT_NO_NUMBA=1 (or
-when numba is missing) selects the interpreted pure-numpy path instead; both
-paths execute the same source and produce bit-identical results.
-
 Randomness is a splitmix64 stream. Each run's stream is seeded from
 (master seed, run index) only, so results never depend on how runs are
 batched across workers.
@@ -12,24 +7,7 @@ batched across workers.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("LAPCENT_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-if _numba_disabled():
-    USING_NUMBA = False
-else:
-    try:
-        from numba import njit as _njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        USING_NUMBA = False
 
 
 GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -134,6 +112,10 @@ def _tree_scan(n):
     Laplacian pseudo-inverse of a tree equals that sum divided by n. Tracks
     the minimum, how many trees attain it, and the same data for stars
     (max degree n-1). Returns (min_sum, min_count, star_sum, star_count).
+
+    The sizes come out of the decode itself: sz[v] counts v and every node
+    already removed through it, so when a leaf is removed the edge it leaves
+    by splits the tree into sz[leaf] and n - sz[leaf] nodes.
     """
     slen = n - 2
     total = 1
@@ -141,22 +123,16 @@ def _tree_scan(n):
         total *= n
     seq = np.zeros(slen, np.int64)
     deg = np.empty(n, np.int64)
-    eu = np.empty(n - 1, np.int64)
-    ev = np.empty(n - 1, np.int64)
-    adj = np.empty((n, n - 1), np.int64)
-    nadj = np.empty(n, np.int64)
-    order = np.empty(n, np.int64)
-    par = np.empty(n, np.int64)
     sz = np.empty(n, np.int64)
     min_sum = np.int64(2**62)
     min_count = 0
     star_sum = np.int64(-1)
     star_count = 0
     for _ in range(total):
-        # decode the Pruefer sequence into n-1 edges
         maxdeg = 1
         for i in range(n):
             deg[i] = 1
+            sz[i] = 1
         for i in range(slen):
             deg[seq[i]] += 1
             if deg[seq[i]] > maxdeg:
@@ -165,10 +141,11 @@ def _tree_scan(n):
         while deg[ptr] != 1:
             ptr += 1
         leaf = ptr
+        s = np.int64(0)
         for i in range(slen):
             x = seq[i]
-            eu[i] = leaf
-            ev[i] = x
+            s += sz[leaf] * (n - sz[leaf])
+            sz[x] += sz[leaf]
             deg[x] -= 1
             if deg[x] == 1 and x < ptr:
                 leaf = x
@@ -177,40 +154,7 @@ def _tree_scan(n):
                 while deg[ptr] != 1:
                     ptr += 1
                 leaf = ptr
-        eu[n - 2] = leaf
-        ev[n - 2] = n - 1
-        # subtree sizes from a BFS rooted at 0
-        for i in range(n):
-            nadj[i] = 0
-            par[i] = -2
-        for e in range(n - 1):
-            a = eu[e]
-            b = ev[e]
-            adj[a, nadj[a]] = b
-            nadj[a] += 1
-            adj[b, nadj[b]] = a
-            nadj[b] += 1
-        order[0] = 0
-        par[0] = -1
-        head = 0
-        tail = 1
-        while head < tail:
-            u = order[head]
-            head += 1
-            for t in range(nadj[u]):
-                w = adj[u, t]
-                if par[w] == -2:
-                    par[w] = u
-                    order[tail] = w
-                    tail += 1
-        for i in range(n):
-            sz[i] = 1
-        for idx in range(n - 1, 0, -1):
-            v = order[idx]
-            sz[par[v]] += sz[v]
-        s = np.int64(0)
-        for v in range(1, n):
-            s += sz[v] * (n - sz[v])
+        s += sz[leaf] * (n - sz[leaf])
         if s < min_sum:
             min_sum = s
             min_count = 1
@@ -230,24 +174,14 @@ def _tree_scan(n):
     return min_sum, min_count, star_sum, star_count
 
 
-if USING_NUMBA:
-    _mix64 = _njit(cache=True)(_mix64)
-    _run_state = _njit(cache=True)(_run_state)
-    _walk_steps = _njit(cache=True)(_walk_steps)
-    _walk_visits = _njit(cache=True)(_walk_visits)
-    _tree_scan = _njit(cache=True)(_tree_scan)
-
-
 # -- public wrappers ---------------------------------------------------
-# The interpreted path wraps uint64 arithmetic, which numpy flags as scalar
-# overflow; that wrapping is the point, so silence it there.
+# The splitmix64 arithmetic wraps uint64 values, which numpy flags as scalar
+# overflow; that wrapping is the point, so silence it.
 
 
 def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0, cap=10**7):
     args = (indptr, nbrs, cumw, np.int64(src), np.int64(dst),
             np.int64(run_start), np.int64(runs), np.uint64(seed), np.int64(cap))
-    if USING_NUMBA:
-        return _walk_steps(*args)
     with np.errstate(over="ignore"):
         return _walk_steps(*args)
 
@@ -255,8 +189,6 @@ def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0, cap=10**7)
 def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0, cap=10**7):
     args = (indptr, nbrs, cumw, np.int64(n), np.int64(src), np.int64(dst),
             np.int64(run_start), np.int64(runs), np.uint64(seed), np.int64(cap))
-    if USING_NUMBA:
-        return _walk_visits(*args)
     with np.errstate(over="ignore"):
         return _walk_visits(*args)
 

@@ -114,11 +114,11 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.preset == "abilene":
-        g = abilene_topology(seed=args.seed)
+        g = abilene_topology()
     else:
         sizes = tuple(int(x) for x in args.subnets.split(",")) if args.subnets else ()
         spec = TopologySpec(core_size=args.core, gateway_count=args.gateways,
-                            subnet_sizes=sizes, seed=args.seed)
+                            subnet_sizes=sizes)
         g = gen_core_gateway(spec)
     _write(format_edge_list(g), args.output)
     return 0
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gateways", type=int, default=ABILENE_PRESET.gateway_count)
     sp.add_argument("--subnets", default=None,
                     help="comma-separated subnet sizes, one per gateway")
-    sp.add_argument("--seed", type=int, default=42)
     add_output(sp)
     sp.set_defaults(fn=cmd_gen)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import colorsys
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +33,12 @@ class ConstraintError(GraphError):
 @dataclass(frozen=True)
 class TopologySpec:
     """Core ring size, gateway count, per-gateway subnet sizes, extra
-    redundancy edges (by node id), and the recorded seed."""
+    redundancy edges (by node id)."""
 
     core_size: int
     gateway_count: int
     subnet_sizes: tuple
     redundant_pairs: tuple = ()
-    seed: int = 42
 
 
 ABILENE_PRESET = TopologySpec(
@@ -47,13 +46,12 @@ ABILENE_PRESET = TopologySpec(
     gateway_count=10,
     subnet_sizes=(9, 9, 5, 4, 4, 4, 4, 4, 4, 4),
     redundant_pairs=((21, 22), (23, 24)),
-    seed=42,
 )
 
 
 def gen_core_gateway(spec: TopologySpec) -> Graph:
     """Deterministic topology for a spec: ring core, round-robin gateways,
-    star subnets, plus the spec's redundancy edges. Same spec + seed gives a
+    star subnets, plus the spec's redundancy edges. The same spec gives a
     byte-identical edge list."""
     c, m = spec.core_size, spec.gateway_count
     if c < 1:
@@ -94,9 +92,9 @@ def gen_core_gateway(spec: TopologySpec) -> Graph:
     return Graph(n, edges, labels=labels)
 
 
-def abilene_topology(seed: int = 42) -> Graph:
+def abilene_topology() -> Graph:
     """The 65-node preset, with its stated constraints machine-checked."""
-    g = gen_core_gateway(replace(ABILENE_PRESET, seed=seed))
+    g = gen_core_gateway(ABILENE_PRESET)
     check_abilene_constraints(g)
     return g
 

@@ -1,12 +1,21 @@
 """Self-contained verification suites for every identity the toolkit rests
-on. Each named check generates its own seeded instances, reports its worst
-residual against a fixed tolerance, and hands back any failing instance as
-an edge list for replay. The CLI `verify` command is a thin wrapper.
+on. Every check registers in ALL_CHECKS, which the CLI `verify` command and
+the acceptance tests both run.
+
+Most checks are seeded sweeps: a `Sweep` declares the instance count, the n
+range, the tolerance, the generator and the detail line, and the function it
+decorates computes the residual of one instance. The sweep owns the rng, the
+`--n` cap, the `--tolerance` override, the worst residual and the failing
+instances, which it hands back as edge lists for replay. The checks over
+fixed cases are hand-written and registered with `register`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import permutations, product
+from typing import Callable
 
 import numpy as np
 
@@ -15,15 +24,14 @@ from .electrical import (current_law_residual, recurrence_overhead,
                          verify_circuit_identities, voltages)
 from .forests import forest_census, lplus_diag_via_forests, tree_center, tree_centrality
 from .graph import Graph, format_edge_list, is_connected, shortest_path_distances
-from .spectral import build_spectral, kirchhoff_index, topological_centrality
+from .spectral import build_spectral, topological_centrality
 from .topology import DOWN, FLAT, UP, abilene_topology, pert_preset, sensitivity_report
-from .walks import (HittingTable, commute_row_sum_identity,
-                    commute_vs_resistance_gap, detour_overhead,
-                    estimate_hitting_mc, estimate_visits_mc,
+from .walks import (commute_row_sum_identity, commute_vs_resistance_gap,
+                    detour_overhead, estimate_hitting_mc, estimate_visits_mc,
                     hitting_times_exact, kirchhoff_commute_identity,
                     simulate_hitting_steps)
 from .zoo import (centrality_report, max_normalized, randomwalk_betweenness,
-                  randomwalk_betweenness_by_solves, subgraph_centrality)
+                  subgraph_centrality)
 
 
 @dataclass
@@ -54,12 +62,15 @@ class VerifyConfig:
     runs: int = 20000               # Monte Carlo runs per estimate
 
 
-def _tol(cfg: VerifyConfig, default: float) -> float:
-    return cfg.tolerance if cfg.tolerance is not None else default
+ALL_CHECKS = []  # (name, check(cfg) -> CheckResult), in registration order
 
 
-def _cap_n(cfg: VerifyConfig, default: int) -> int:
-    return cfg.max_n if cfg.max_n is not None else default
+def register(name):
+    """Register a hand-written check(cfg) under `name`."""
+    def add(check):
+        ALL_CHECKS.append((name, check))
+        return check
+    return add
 
 
 # -- instance generators -------------------------------------------------
@@ -74,20 +85,15 @@ def random_connected(rng, n, p=0.4, weighted=False) -> Graph:
                 if rng.random() < p:
                     w = float(rng.uniform(0.2, 3.0)) if weighted else 1.0
                     edges.append((u, v, w))
-        if not edges:
+        if len(edges) < n - 1:  # too few edges to connect n nodes
             continue
         g = Graph(n, edges)
         if is_connected(g):
             return g
 
 
-def random_tree(rng, n) -> Graph:
-    """Uniform labeled tree from a random Pruefer sequence."""
-    if n == 1:
-        return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
-    seq = [int(rng.integers(0, n)) for _ in range(n - 2)]
+def tree_from_pruefer(seq, n) -> Graph:
+    """The labeled tree on n >= 2 nodes with Pruefer sequence `seq`."""
     deg = [1] * n
     for x in seq:
         deg[x] += 1
@@ -110,6 +116,13 @@ def random_tree(rng, n) -> Graph:
     return Graph(n, edges)
 
 
+def random_tree(rng, n) -> Graph:
+    """Uniform labeled tree from a random Pruefer sequence."""
+    if n == 1:
+        return Graph(1, [])
+    return tree_from_pruefer([int(rng.integers(0, n)) for _ in range(n - 2)], n)
+
+
 def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -118,458 +131,365 @@ def complete_graph(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+# A sweep generator takes (rng, n, instance index).
+
+
+def _unweighted(rng, n, t):
+    return random_connected(rng, n)
+
+
+def _alternating(rng, n, t):
+    """Every second instance weighted."""
+    return random_connected(rng, n, weighted=bool(t % 2))
+
+
+def _dense(rng, n, t):
+    return random_connected(rng, n, p=0.5)
+
+
+def _tree(rng, n, t):
+    return random_tree(rng, n)
+
+
+# -- the sweep runner ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A seeded sweep over `count` instances with n drawn from [lo, hi].
+
+    Decorating a per-instance function with a Sweep registers a check(cfg)
+    of the same name; the function stays reachable as `check.residual` and
+    the sweep as `check.sweep`. With `tol` set the function returns the
+    instance's residual and the check reports the worst one; a tuple `tol`
+    takes a tuple of residuals, each divided by its own tolerance, so the
+    check's bound is 1. Without `tol` the check is count-style: the function
+    returns the instance's violation count, summed over instances, or with
+    agg=min a quantity that must stay positive. `detail` is formatted with
+    the worst residual or the aggregate, or called with the (instance,
+    value) records.
+    """
+
+    name: str
+    count: int
+    lo: int
+    hi: int
+    detail: str | Callable
+    tol: float | tuple | None = None
+    gen: Callable = _unweighted
+    agg: Callable = sum
+    hard_hi: bool = False  # --n may lower hi but not raise it
+
+    def instances(self, seed, max_n=None):
+        """The sweep's instances for `seed`, with hi replaced by `max_n`."""
+        hi = self.hi
+        if max_n is not None:
+            hi = min(max_n, hi) if self.hard_hi else max_n
+        rng = np.random.default_rng(seed)
+        for t in range(self.count):
+            n = int(rng.integers(self.lo, hi + 1))
+            yield self.gen(rng, n, t)
+
+    def __call__(self, residual):
+        @functools.wraps(residual)
+        def check(cfg: VerifyConfig) -> CheckResult:
+            return self.run(cfg, residual)
+
+        check.sweep, check.residual = self, residual
+        ALL_CHECKS.append((self.name, check))
+        return check
+
+    def run(self, cfg: VerifyConfig, residual) -> CheckResult:
+        tol, scales = self.tol, None
+        if isinstance(tol, tuple):
+            scales = tol if cfg.tolerance is None else (cfg.tolerance,) * len(tol)
+            tol = 1.0
+        elif tol is not None and cfg.tolerance is not None:
+            tol = cfg.tolerance
+        limit = 0 if tol is None else tol
+        records, failures = [], []
+        for g in self.instances(cfg.seed, cfg.max_n):
+            value = residual(g)
+            if scales:
+                value = max(r / s for r, s in zip(value, scales))
+            records.append((g, value))
+            if (value <= 0) if self.agg is min else (value > limit):
+                failures.append((self.name, g))
+        values = [v for _, v in records]
+        summary = max([0.0, *values]) if tol is not None else self.agg(values)
+        detail = self.detail(records) if callable(self.detail) else self.detail.format(summary)
+        return CheckResult(self.name, not failures, None if tol is None else summary, tol,
+                           detail=detail, failures=failures)
+
+
 # -- individual checks ----------------------------------------------------
 
 
-def check_detour_average(cfg: VerifyConfig) -> CheckResult:
+@Sweep("detour-average", 100, 4, 12, "100 random connected graphs", tol=1e-9)
+def check_detour_average(g):
     """Average forced-detour overhead through k equals l+_kk."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 12)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(100):
-        n = int(rng.integers(4, hi + 1))
-        g = random_connected(rng, n)
-        b = build_spectral(g)
-        ht = hitting_times_exact(g)
-        H = ht.H
-        res = 0.0
-        for k in range(n):
-            total = n * H[:, k].sum() + n * H[k, :].sum() - H.sum()
-            res = max(res, abs(total / (n * n * ht.vol) - b.lplus[k, k]))
-        worst = max(worst, res)
-        if res > tol:
-            failures.append(("detour-average", g))
-    return CheckResult("detour-average", worst <= tol, worst, tol,
-                       detail="100 random connected graphs", failures=failures)
+    b = build_spectral(g)
+    ht = hitting_times_exact(g)
+    H, n = ht.H, g.n
+    res = 0.0
+    for k in range(n):
+        total = n * H[:, k].sum() + n * H[k, :].sum() - H.sum()
+        res = max(res, abs(total / (n * n * ht.vol) - b.lplus[k, k]))
+    return res
 
 
-def check_commute_resistance(cfg: VerifyConfig) -> CheckResult:
+@Sweep("commute-resistance", 100, 4, 12, "100 random connected graphs", tol=1e-9)
+def check_commute_resistance(g):
     """C_ij = Vol(G) * Omega_ij across hitting-time and pseudo-inverse routes."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 12)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(100):
-        n = int(rng.integers(4, hi + 1))
-        g = random_connected(rng, n)
-        gap = commute_vs_resistance_gap(hitting_times_exact(g), build_spectral(g))
-        worst = max(worst, gap)
-        if gap > tol:
-            failures.append(("commute-resistance", g))
-    return CheckResult("commute-resistance", worst <= tol, worst, tol,
-                       detail="100 random connected graphs", failures=failures)
+    return commute_vs_resistance_gap(hitting_times_exact(g), build_spectral(g))
 
 
-def check_detour_equivalence(cfg: VerifyConfig) -> CheckResult:
+@Sweep("detour-equivalence", 20, 4, 8, "all triples on 20 graphs", tol=1e-9)
+def check_detour_equivalence(g):
     """Hitting and commute detour forms agree; overhead is i<->j symmetric."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 8)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(20):
-        n = int(rng.integers(4, hi + 1))
-        g = random_connected(rng, n)
-        ht = hitting_times_exact(g)
-        res = 0.0
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    hit = ht.H[i, k] + ht.H[k, j] - ht.H[i, j]
-                    com = (ht.C[i, k] + ht.C[k, j] - ht.C[i, j]) / 2.0
-                    rev = ht.H[j, k] + ht.H[k, i] - ht.H[j, i]
-                    res = max(res, abs(hit - com), abs(hit - rev))
-        worst = max(worst, res)
-        if res > tol:
-            failures.append(("detour-equivalence", g))
-    return CheckResult("detour-equivalence", worst <= tol, worst, tol,
-                       detail="all triples on 20 graphs", failures=failures)
+    ht = hitting_times_exact(g)
+    res = 0.0
+    for i, k, j in product(range(g.n), repeat=3):
+        hit = ht.H[i, k] + ht.H[k, j] - ht.H[i, j]
+        com = (ht.C[i, k] + ht.C[k, j] - ht.C[i, j]) / 2.0
+        rev = ht.H[j, k] + ht.H[k, i] - ht.H[j, i]
+        res = max(res, abs(hit - com), abs(hit - rev))
+    return res
 
 
-def check_electrical_detour(cfg: VerifyConfig) -> CheckResult:
+@Sweep("electrical-detour", 20, 4, 10,
+       "all ordered triples on 20 graphs (weighted included)", tol=1e-9, gen=_alternating)
+def check_electrical_detour(g):
     """Electrical recurrence overhead equals the walk detour overhead."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for t in range(20):
-        n = int(rng.integers(4, hi + 1))
-        g = random_connected(rng, n, weighted=bool(t % 2))
-        b = build_spectral(g)
-        ht = hitting_times_exact(g)
-        res = 0.0
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    if i == k or k == j or i == j:
-                        continue
-                    ov = recurrence_overhead(b, i, k, j)
-                    res = max(res, abs(ov - detour_overhead(ht, i, k, j)))
-        worst = max(worst, res)
-        if res > tol:
-            failures.append(("electrical-detour", g))
-    return CheckResult("electrical-detour", worst <= tol, worst, tol,
-                       detail="all ordered triples on 20 graphs (weighted included)",
-                       failures=failures)
+    b = build_spectral(g)
+    ht = hitting_times_exact(g)
+    res = 0.0
+    for i, k, j in permutations(range(g.n), 3):
+        res = max(res, abs(recurrence_overhead(b, i, k, j) - detour_overhead(ht, i, k, j)))
+    return res
 
 
-def check_circuit_identities(cfg: VerifyConfig) -> CheckResult:
+@Sweep("circuit-identities", 20, 3, 10, "all triples on 20 graphs", tol=1e-9,
+       gen=_alternating)
+def check_circuit_identities(g):
     """Superposition and reciprocity of sink-gauged voltages."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for t in range(20):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n, weighted=bool(t % 2))
-        b = build_spectral(g)
-        triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
-        rep = verify_circuit_identities(b, triples)
-        worst = max(worst, rep.max_residual)
-        if rep.max_residual > tol:
-            failures.append(("circuit-identities", g))
-    return CheckResult("circuit-identities", worst <= tol, worst, tol,
-                       detail="all triples on 20 graphs", failures=failures)
+    triples = list(product(range(g.n), repeat=3))
+    return verify_circuit_identities(build_spectral(g), triples).max_residual
 
 
-def check_current_law(cfg: VerifyConfig) -> CheckResult:
+@Sweep("current-law", 20, 3, 10, "all source/sink pairs on 20 graphs", tol=1e-9,
+       gen=_alternating)
+def check_current_law(g):
     """Kirchhoff current law at interior nodes of solved profiles."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for t in range(20):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n, weighted=bool(t % 2))
-        b = build_spectral(g)
-        res = max(current_law_residual(b, i, j)
-                  for i in range(n) for j in range(n) if i != j)
-        worst = max(worst, res)
-        if res > tol:
-            failures.append(("current-law", g))
-    return CheckResult("current-law", worst <= tol, worst, tol,
-                       detail="all source/sink pairs on 20 graphs", failures=failures)
+    b = build_spectral(g)
+    return max(current_law_residual(b, i, j) for i, j in permutations(range(g.n), 2))
 
 
-def check_recurrence_positive(cfg: VerifyConfig) -> CheckResult:
+@Sweep("recurrence-positive", 20, 3, 10, "min source visit count {:.6f} > 0", agg=min)
+def check_recurrence_positive(g):
     """U^{ij}_i > 0 on finite connected graphs."""
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
-    lowest = np.inf
-    failures = []
-    for _ in range(20):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n)
-        b = build_spectral(g)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                u_src = float(voltages(b, i, j).visits[i])
-                lowest = min(lowest, u_src)
-                if u_src <= 0:
-                    failures.append(("recurrence-positive", g))
-    return CheckResult("recurrence-positive", lowest > 0, None, None,
-                       detail=f"min source visit count {lowest:.6f} > 0",
-                       failures=failures)
+    b = build_spectral(g)
+    return min(float(voltages(b, i, j).visits[i]) for i, j in permutations(range(g.n), 2))
 
 
-def check_spectral_consistency(cfg: VerifyConfig) -> CheckResult:
-    """Both L+ routes, Moore-Penrose identities, centering, embedding."""
-    route_tol = _tol(cfg, 1e-8)
-    mp_tol = _tol(cfg, 1e-9)
-    center_tol = _tol(cfg, 1e-10)
-    hi = _cap_n(cfg, 12)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for t in range(100):
-        n = int(rng.integers(2, hi + 1))
-        g = random_connected(rng, n, weighted=bool(t % 3 == 0))
-        b = build_spectral(g)  # raises if the two routes disagree
-        lap, lp = b.laplacian, b.lplus
-        scale_l = max(1.0, float(np.max(np.abs(lap))))
-        scale_p = max(1.0, float(np.max(np.abs(lp))))
-        res = max(
-            float(np.max(np.abs(lap @ lp @ lap - lap))) / scale_l / mp_tol,
-            float(np.max(np.abs(lp @ lap @ lp - lp))) / scale_p / mp_tol,
-            float(np.max(np.abs(lp.sum(axis=0)))) / center_tol,
-            float(np.max(np.abs(lp.sum(axis=1)))) / center_tol,
-            float(np.max(np.abs(b.embedding.T @ b.embedding - lp))) / mp_tol,
-            float(np.max(np.abs(np.sum(b.embedding**2, axis=0) - np.diag(lp)))) / mp_tol,
-            float(np.max(np.abs(lp - b.lplus_eigen))) / route_tol,
-        )
-        worst = max(worst, res)
-        if res > 1.0:
-            failures.append(("spectral-consistency", g))
-    return CheckResult("spectral-consistency", worst <= 1.0, worst, 1.0,
-                       detail="scaled to per-identity tolerances; 100 graphs",
-                       failures=failures)
+@Sweep("spectral-consistency", 100, 2, 12, "scaled to per-identity tolerances; 100 graphs",
+       tol=(1e-8, 1e-9, 1e-10, 1e-9),
+       gen=lambda rng, n, t: random_connected(rng, n, weighted=t % 3 == 0))
+def check_spectral_consistency(g):
+    """Both L+ routes, Moore-Penrose identities, centering, embedding.
+
+    Returns (route gap, Moore-Penrose gap, centering gap, embedding gap);
+    the Moore-Penrose gaps are relative to max(1, max|entry|).
+    """
+    b = build_spectral(g)  # raises if the two routes disagree
+    lap, lp = b.laplacian, b.lplus
+    scale_l = max(1.0, float(np.max(np.abs(lap))))
+    scale_p = max(1.0, float(np.max(np.abs(lp))))
+    return (
+        float(np.max(np.abs(lp - b.lplus_eigen))),
+        max(float(np.max(np.abs(lap @ lp @ lap - lap))) / scale_l,
+            float(np.max(np.abs(lp @ lap @ lp - lp))) / scale_p),
+        max(float(np.max(np.abs(lp.sum(axis=0)))),
+            float(np.max(np.abs(lp.sum(axis=1))))),
+        max(float(np.max(np.abs(b.embedding.T @ b.embedding - lp))),
+            float(np.max(np.abs(np.sum(b.embedding**2, axis=0) - np.diag(lp))))),
+    )
 
 
-def check_resistance_metric(cfg: VerifyConfig) -> CheckResult:
+@Sweep("resistance-metric", 30, 3, 10, "triangle violations on 30 graphs", tol=1e-9)
+def check_resistance_metric(g):
     """Effective resistance satisfies the triangle inequality."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(30):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n)
-        b = build_spectral(g)
-        d = np.diag(b.lplus)
-        omega = d[:, None] + d[None, :] - 2 * b.lplus
-        viol = float(np.max(omega[:, :, None]
-                            - omega[:, None, :] - omega[None, :, :]))
-        worst = max(worst, viol)
-        if viol > tol:
-            failures.append(("resistance-metric", g))
-    return CheckResult("resistance-metric", worst <= tol, worst, tol,
-                       detail="triangle violations on 30 graphs", failures=failures)
+    b = build_spectral(g)
+    d = np.diag(b.lplus)
+    omega = d[:, None] + d[None, :] - 2 * b.lplus
+    return float(np.max(omega[:, :, None] - omega[:, None, :] - omega[None, :, :]))
 
 
-def check_spd_metric(cfg: VerifyConfig) -> CheckResult:
+@Sweep("spd-metric", 30, 2, 10, "30 graphs", tol=1e-9, gen=_alternating)
+def check_spd_metric(g):
     """Geodesic distance is a metric (symmetry, zero diagonal, triangle)."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for t in range(30):
-        n = int(rng.integers(2, hi + 1))
-        g = random_connected(rng, n, weighted=bool(t % 2))
-        spd = shortest_path_distances(g)
-        res = max(
-            float(np.max(np.abs(spd - spd.T))),
-            float(np.max(np.abs(np.diag(spd)))),
-            float(np.max(spd[:, :, None] - spd[:, None, :] - spd[None, :, :])),
-        )
-        worst = max(worst, res)
-        if res > tol:
-            failures.append(("spd-metric", g))
-    return CheckResult("spd-metric", worst <= tol, worst, tol,
-                       detail="30 graphs", failures=failures)
+    spd = shortest_path_distances(g)
+    return max(
+        float(np.max(np.abs(spd - spd.T))),
+        float(np.max(np.abs(np.diag(spd)))),
+        float(np.max(spd[:, :, None] - spd[:, None, :] - spd[None, :, :])),
+    )
 
 
-def check_forest_diagonal(cfg: VerifyConfig) -> CheckResult:
-    """Forest-census diagonal equals the spectral diagonal."""
-    tol = _tol(cfg, 1e-9)
-    hi = min(_cap_n(cfg, 7), 7)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    sample = None
-    for _ in range(500):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n, p=0.5)
-        gap = float(np.max(np.abs(lplus_diag_via_forests(g)
-                                  - np.diag(build_spectral(g).lplus))))
-        worst = max(worst, gap)
-        if sample is None or g.n > sample[0].n:
-            sample = (g, gap)
-        if gap > tol:
-            failures.append(("forest-diagonal", g))
-    g, gap = sample
+def _forest_sample(records):
+    """Detail line with the census of the first largest instance."""
+    g, gap = max(records, key=lambda r: r[0].n)
     c = forest_census(g)
-    detail = (f"500 random connected unweighted graphs; sample census "
-              f"(n={g.n}, m={g.m}): eps_n1={c.eps_n1}, eps_n2={c.eps_n2}, "
-              f"rooted={list(c.eps_rooted)}, residual={gap:.3e}")
-    return CheckResult("forest-diagonal", worst <= tol, worst, tol,
-                       detail=detail, failures=failures)
+    return (f"500 random connected unweighted graphs; sample census "
+            f"(n={g.n}, m={g.m}): eps_n1={c.eps_n1}, eps_n2={c.eps_n2}, "
+            f"rooted={list(c.eps_rooted)}, residual={gap:.3e}")
 
 
-def check_census_disjointness(cfg: VerifyConfig) -> CheckResult:
+# The census enumerates bi-partitions, so n stays at 7 or below.
+@Sweep("forest-diagonal", 500, 3, 7, _forest_sample, tol=1e-9, gen=_dense, hard_hi=True)
+def check_forest_diagonal(g):
+    """Forest-census diagonal equals the spectral diagonal."""
+    return float(np.max(np.abs(lplus_diag_via_forests(g) - np.diag(build_spectral(g).lplus))))
+
+
+@Sweep("census-disjointness", 100, 3, 7, "{} violations in 100 graphs (exact integers)",
+       gen=_dense, hard_hi=True)
+def check_census_disjointness(g):
     """Each two-tree forest is counted once per root node, and it has two
     roots: sum_i rooted_i = 2 * eps_n2, exactly."""
-    hi = min(_cap_n(cfg, 7), 7)
-    rng = np.random.default_rng(cfg.seed)
-    bad = 0
-    failures = []
-    for _ in range(100):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n, p=0.5)
-        c = forest_census(g)
-        if sum(c.eps_rooted) != 2 * c.eps_n2:
-            bad += 1
-            failures.append(("census-disjointness", g))
-    return CheckResult("census-disjointness", bad == 0, None, None,
-                       detail=f"{bad} violations in 100 graphs (exact integers)",
-                       failures=failures)
+    c = forest_census(g)
+    return int(sum(c.eps_rooted) != 2 * c.eps_n2)
 
 
-def check_tree_partition(cfg: VerifyConfig) -> CheckResult:
+@Sweep("tree-partition", 100, 3, 12, "100 random trees", tol=1e-9, gen=_tree)
+def check_tree_partition(t):
     """Tree partition formula matches the spectral diagonal; the most
     central node is the tree center."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 12)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(100):
-        n = int(rng.integers(3, hi + 1))
-        t = random_tree(rng, n)
-        b = build_spectral(t)
-        gap = float(np.max(np.abs(tree_centrality(t) - np.diag(b.lplus))))
-        centers = tree_center(t)
-        top = int(np.argmax(topological_centrality(b)))
-        if top not in centers:
-            gap = max(gap, 1.0)
-        worst = max(worst, gap)
-        if gap > tol:
-            failures.append(("tree-partition", t))
-    return CheckResult("tree-partition", worst <= tol, worst, tol,
-                       detail="100 random trees", failures=failures)
+    b = build_spectral(t)
+    gap = float(np.max(np.abs(tree_centrality(t) - np.diag(b.lplus))))
+    if int(np.argmax(topological_centrality(b))) not in tree_center(t):
+        gap = max(gap, 1.0)
+    return gap
 
 
-def check_tree_spd_resistance(cfg: VerifyConfig) -> CheckResult:
+@Sweep("tree-spd-resistance", 50, 2, 12, "50 random trees", tol=1e-9, gen=_tree)
+def check_tree_spd_resistance(t):
     """On trees geodesic distance equals effective resistance."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 12)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(50):
-        n = int(rng.integers(2, hi + 1))
-        t = random_tree(rng, n)
-        b = build_spectral(t)
-        d = np.diag(b.lplus)
-        omega = d[:, None] + d[None, :] - 2 * b.lplus
-        gap = float(np.max(np.abs(shortest_path_distances(t) - omega)))
-        worst = max(worst, gap)
-        if gap > tol:
-            failures.append(("tree-spd-resistance", t))
-    return CheckResult("tree-spd-resistance", worst <= tol, worst, tol,
-                       detail="50 random trees", failures=failures)
+    b = build_spectral(t)
+    d = np.diag(b.lplus)
+    omega = d[:, None] + d[None, :] - 2 * b.lplus
+    return float(np.max(np.abs(shortest_path_distances(t) - omega)))
 
 
-def check_commute_rowsum(cfg: VerifyConfig) -> CheckResult:
+@Sweep("commute-rowsum", 50, 3, 12, "50 graphs", tol=1e-9)
+def check_commute_rowsum(g):
     """Commute row sums against n l+_kk + Tr, and the Kirchhoff double sum."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 12)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(50):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n)
-        b = build_spectral(g)
-        ht = hitting_times_exact(g)
-        res = 0.0
-        for k in range(n):
-            lhs, rhs = commute_row_sum_identity(g, b, k, ht=ht)
-            res = max(res, abs(lhs - rhs))
-        lhs, rhs = kirchhoff_commute_identity(g, b, ht=ht)
+    b = build_spectral(g)
+    ht = hitting_times_exact(g)
+    res = 0.0
+    for k in range(g.n):
+        lhs, rhs = commute_row_sum_identity(g, b, k, ht=ht)
         res = max(res, abs(lhs - rhs))
-        worst = max(worst, res)
-        if res > tol:
-            failures.append(("commute-rowsum", g))
-    return CheckResult("commute-rowsum", worst <= tol, worst, tol,
-                       detail="50 graphs", failures=failures)
+    lhs, rhs = kirchhoff_commute_identity(g, b, ht=ht)
+    return max(res, abs(lhs - rhs))
 
 
-def check_cstar_commute_rank(cfg: VerifyConfig) -> CheckResult:
+@Sweep("cstar-commute-rank", 50, 3, 12, "{} mismatches in 50 graphs")
+def check_cstar_commute_rank(g):
     """argmax C* coincides with argmin of the commute row sums."""
-    hi = _cap_n(cfg, 12)
-    rng = np.random.default_rng(cfg.seed)
-    bad = 0
-    failures = []
-    for _ in range(50):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n)
-        b = build_spectral(g)
-        ht = hitting_times_exact(g)
-        cstar = topological_centrality(b)
-        rows = ht.C.sum(axis=1)
-        tol_c = 1e-9 * max(1.0, float(rows.max()))
-        amax = set(np.flatnonzero(cstar >= cstar.max() - 1e-9 * cstar.max()))
-        amin = set(np.flatnonzero(rows <= rows.min() + tol_c))
-        if amax != amin:
-            bad += 1
-            failures.append(("cstar-commute-rank", g))
-    return CheckResult("cstar-commute-rank", bad == 0, None, None,
-                       detail=f"{bad} mismatches in 50 graphs", failures=failures)
+    cstar = topological_centrality(build_spectral(g))
+    rows = hitting_times_exact(g).C.sum(axis=1)
+    tol_c = 1e-9 * max(1.0, float(rows.max()))
+    amax = set(np.flatnonzero(cstar >= cstar.max() - 1e-9 * cstar.max()))
+    amin = set(np.flatnonzero(rows <= rows.min() + tol_c))
+    return int(amax != amin)
 
 
-def check_sc_series(cfg: VerifyConfig) -> CheckResult:
+@Sweep("sc-series", 30, 2, 10, "30-term series oracle on 30 graphs", tol=1e-9)
+def check_sc_series(g):
     """Spectral subgraph centrality equals the truncated factorial series."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(30):
-        n = int(rng.integers(2, hi + 1))
-        g = random_connected(rng, n)
-        a = g.adjacency
-        term = np.eye(n)
-        series = np.zeros(n)
-        for k in range(1, 31):
-            term = term @ a / k
-            series += np.diag(term)
-        series += 1.0  # k = 0 term
-        gap = float(np.max(np.abs(subgraph_centrality(g) - series)))
-        worst = max(worst, gap)
-        if gap > tol:
-            failures.append(("sc-series", g))
-    return CheckResult("sc-series", worst <= tol, worst, tol,
-                       detail="30-term series oracle on 30 graphs", failures=failures)
+    a = g.adjacency
+    term = np.eye(g.n)
+    series = np.zeros(g.n)
+    for k in range(1, 31):
+        term = term @ a / k
+        series += np.diag(term)
+    series += 1.0  # k = 0 term
+    return float(np.max(np.abs(subgraph_centrality(g) - series)))
 
 
-def check_rb_solves(cfg: VerifyConfig) -> CheckResult:
+def randomwalk_betweenness_by_solves(g: Graph) -> np.ndarray:
+    """Independent route: one reduced linear solve per pair, no L+.
+
+    Grounds node 0 and solves the reduced Laplacian for each injection
+    vector; used to validate the pseudo-inverse route.
+    """
+    n = g.n
+    if n < 3:
+        return np.zeros(n)
+    lap = np.diag(g.degrees) - g.adjacency
+    red = lap[1:, 1:]
+    edges = g.edges
+    rb = np.zeros(n)
+    for s in range(n):
+        for t in range(s + 1, n):
+            rhs = np.zeros(n)
+            rhs[s] = 1.0
+            rhs[t] = -1.0
+            v = np.zeros(n)
+            v[1:] = np.linalg.solve(red, rhs[1:])
+            through = np.zeros(n)
+            for u, w, wt in edges:
+                cur = abs(wt * (v[u] - v[w]))
+                through[u] += cur
+                through[w] += cur
+            through /= 2.0
+            through[s] = through[t] = 0.0
+            rb += through
+    return rb / ((n - 1) * (n - 2) / 2.0)
+
+
+@Sweep("rb-solves", 20, 3, 8, "20 graphs", tol=1e-9)
+def check_rb_solves(g):
     """Current-flow betweenness: pseudo-inverse route vs per-pair solves."""
-    tol = _tol(cfg, 1e-9)
-    hi = _cap_n(cfg, 8)
-    rng = np.random.default_rng(cfg.seed)
-    worst, failures = 0.0, []
-    for _ in range(20):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n)
-        gap = float(np.max(np.abs(randomwalk_betweenness(g)
-                                  - randomwalk_betweenness_by_solves(g))))
-        worst = max(worst, gap)
-        if gap > tol:
-            failures.append(("rb-solves", g))
-    return CheckResult("rb-solves", worst <= tol, worst, tol,
-                       detail="20 graphs", failures=failures)
+    return float(np.max(np.abs(randomwalk_betweenness(g) - randomwalk_betweenness_by_solves(g))))
 
 
+@register("transitive-constancy")
 def check_transitive_constancy(cfg: VerifyConfig) -> CheckResult:
     """Vertex-transitive graphs score every per-node index constant."""
-    tol = _tol(cfg, 1e-9)
-    worst = 0.0
-    failures = []
+    tol = 1e-9 if cfg.tolerance is None else cfg.tolerance
     cases = [complete_graph(4), complete_graph(6)]
-    for n in (4, 5, 8):
-        cases.append(Graph(n, [(i, (i + 1) % n) for i in range(n)]))  # cycle
+    cases += [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 5, 8)]  # cycles
+    spreads = []
     for g in cases:
         rep = centrality_report(g)
-        spread = max(float(np.ptp(getattr(rep, name))) for name in rep.PER_NODE)
-        worst = max(worst, spread)
-        if spread > tol:
-            failures.append(("transitive-constancy", g))
-    return CheckResult("transitive-constancy", worst <= tol, worst, tol,
+        spreads.append(max(float(np.ptp(getattr(rep, name))) for name in rep.PER_NODE))
+    failures = [("transitive-constancy", g) for g, s in zip(cases, spreads) if s > tol]
+    worst = max([0.0, *spreads])
+    return CheckResult("transitive-constancy", not failures, worst, tol,
                        detail="complete graphs and cycles", failures=failures)
 
 
-def check_max_normalization(cfg: VerifyConfig) -> CheckResult:
+@Sweep("max-normalization", 20, 3, 10, "{} violations in 20 graphs")
+def check_max_normalization(g):
     """Max-normalizing preserves argmax sets and tops out at 1."""
-    hi = _cap_n(cfg, 10)
-    rng = np.random.default_rng(cfg.seed)
+    rep = centrality_report(g)
     bad = 0
-    failures = []
-    for _ in range(20):
-        n = int(rng.integers(3, hi + 1))
-        g = random_connected(rng, n)
-        rep = centrality_report(g)
-        for name in rep.PER_NODE:
-            vec = getattr(rep, name)
-            norm = max_normalized(vec)
-            if vec.max() > 0:
-                ok = (abs(norm.max() - 1.0) < 1e-12
-                      and set(np.flatnonzero(vec == vec.max()))
-                      == set(np.flatnonzero(norm == norm.max())))
-            else:
-                ok = not norm.any()
-            if not ok:
-                bad += 1
-                failures.append((f"max-normalization-{name}", g))
-    return CheckResult("max-normalization", bad == 0, None, None,
-                       detail=f"{bad} violations in 20 graphs", failures=failures)
+    for name in rep.PER_NODE:
+        vec = getattr(rep, name)
+        norm = max_normalized(vec)
+        if vec.max() > 0:
+            ok = (abs(norm.max() - 1.0) < 1e-12
+                  and set(np.flatnonzero(vec == vec.max()))
+                  == set(np.flatnonzero(norm == norm.max())))
+        else:
+            ok = not norm.any()
+        bad += not ok
+    return bad
 
 
+@register("extremal-kirchhoff")
 def check_extremal_kirchhoff(cfg: VerifyConfig) -> CheckResult:
     """The star minimizes K among trees (exhaustive by Pruefer sequence up
     to n=8); K_5 minimizes K among the 728 connected 5-node graphs."""
@@ -609,6 +529,20 @@ def check_extremal_kirchhoff(cfg: VerifyConfig) -> CheckResult:
                        else "star minimal for trees n<=8; K_5 minimal among 728")
 
 
+def hitting_estimates(g, pairs, runs, seed):
+    """(i, j, Monte Carlo estimate, exact H_ij) for each (i, j) pair."""
+    exact = hitting_times_exact(g).H
+    return [(i, j, estimate_hitting_mc(g, i, j, runs, seed), exact[i, j]) for i, j in pairs]
+
+
+def chunked_steps(g, i, j, seed, sizes):
+    """Per-run step counts simulated as consecutive chunks of `sizes` runs."""
+    starts = np.cumsum([0, *sizes[:-1]])
+    return np.concatenate([simulate_hitting_steps(g, i, j, size, seed, run_start=int(start))
+                           for size, start in zip(sizes, starts)])
+
+
+@register("mc-hitting")
 def check_mc_hitting(cfg: VerifyConfig) -> CheckResult:
     """Monte Carlo hitting estimates agree with the exact solves to 4 SE,
     and the per-run sequence is chunking-invariant."""
@@ -616,24 +550,19 @@ def check_mc_hitting(cfg: VerifyConfig) -> CheckResult:
     problems = []
     for g, pairs in ((path_graph(3), [(0, 1), (0, 2), (1, 0)]),
                      (complete_graph(4), [(0, 1), (2, 3)])):
-        exact = hitting_times_exact(g).H
-        for i, j in pairs:
-            est = estimate_hitting_mc(g, i, j, runs, cfg.seed)
+        for i, j, est, exact in hitting_estimates(g, pairs, runs, cfg.seed):
             se = max(est.std_error, 1e-12)
-            if abs(est.mean - exact[i, j]) > 4 * se:
-                problems.append(f"{g!r} ({i},{j}): {est.mean:.4f} vs {exact[i, j]:.4f}")
-        full = simulate_hitting_steps(g, 0, 1, 512, cfg.seed)
-        split = np.concatenate([
-            simulate_hitting_steps(g, 0, 1, 200, cfg.seed),
-            simulate_hitting_steps(g, 0, 1, 312, cfg.seed, run_start=200),
-        ])
-        if not np.array_equal(full, split):
+            if abs(est.mean - exact) > 4 * se:
+                problems.append(f"{g!r} ({i},{j}): {est.mean:.4f} vs {exact:.4f}")
+        if not np.array_equal(simulate_hitting_steps(g, 0, 1, 512, cfg.seed),
+                              chunked_steps(g, 0, 1, cfg.seed, (200, 312))):
             problems.append(f"{g!r}: run sequence depends on chunking")
     return CheckResult("mc-hitting", not problems, None, None,
                        detail="; ".join(problems) if problems
                        else f"{runs} runs within 4 SE; chunk-invariant")
 
 
+@register("mc-visits")
 def check_mc_visits(cfg: VerifyConfig) -> CheckResult:
     """Monte Carlo visit counts match d(k) * v(k) from the voltage gauge."""
     runs = cfg.runs
@@ -655,11 +584,12 @@ def check_mc_visits(cfg: VerifyConfig) -> CheckResult:
                        else f"visit counts within 4 SE at {runs} runs")
 
 
+@register("generator")
 def check_generator(cfg: VerifyConfig) -> CheckResult:
     """Preset generator determinism, constraint checks, label-based rewiring."""
     problems = []
-    g1 = abilene_topology(seed=cfg.seed)
-    g2 = abilene_topology(seed=cfg.seed)
+    g1 = abilene_topology()
+    g2 = abilene_topology()
     if format_edge_list(g1) != format_edge_list(g2):
         problems.append("generator is not deterministic")
     perm = list(range(g1.n))
@@ -688,10 +618,11 @@ TABLE1_EXPECT = {
 }
 
 
+@register("sensitivity-directions")
 def check_sensitivity_directions(cfg: VerifyConfig) -> CheckResult:
     """Direction arrows of the two rewiring presets on the bundled preset
     topology, plus exact Randic invariance for the second."""
-    g0 = abilene_topology(seed=cfg.seed)
+    g0 = abilene_topology()
     g1 = pert_preset(g0, "pert1")
     g2 = pert_preset(g1, "pert2")
     problems = []
@@ -710,35 +641,6 @@ def check_sensitivity_directions(cfg: VerifyConfig) -> CheckResult:
               f"dK*={rep1.deltas['kstar']:+.4f}/{rep2.deltas['kstar']:+.4f}, "
               f"dR1={rep1.deltas['randic']:+.4f}/{rep2.deltas['randic']:+.4f}")
     return CheckResult("sensitivity-directions", not problems, None, None, detail=detail)
-
-
-ALL_CHECKS = [
-    ("detour-average", check_detour_average),
-    ("commute-resistance", check_commute_resistance),
-    ("detour-equivalence", check_detour_equivalence),
-    ("electrical-detour", check_electrical_detour),
-    ("circuit-identities", check_circuit_identities),
-    ("current-law", check_current_law),
-    ("recurrence-positive", check_recurrence_positive),
-    ("spectral-consistency", check_spectral_consistency),
-    ("resistance-metric", check_resistance_metric),
-    ("spd-metric", check_spd_metric),
-    ("forest-diagonal", check_forest_diagonal),
-    ("census-disjointness", check_census_disjointness),
-    ("tree-partition", check_tree_partition),
-    ("tree-spd-resistance", check_tree_spd_resistance),
-    ("commute-rowsum", check_commute_rowsum),
-    ("cstar-commute-rank", check_cstar_commute_rank),
-    ("sc-series", check_sc_series),
-    ("rb-solves", check_rb_solves),
-    ("transitive-constancy", check_transitive_constancy),
-    ("max-normalization", check_max_normalization),
-    ("extremal-kirchhoff", check_extremal_kirchhoff),
-    ("mc-hitting", check_mc_hitting),
-    ("mc-visits", check_mc_visits),
-    ("generator", check_generator),
-    ("sensitivity-directions", check_sensitivity_directions),
-]
 
 
 def run_checks(cfg: VerifyConfig, only: str | None = None):

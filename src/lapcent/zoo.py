@@ -164,33 +164,3 @@ def centrality_report(g: Graph, b: SpectralBundle | None = None) -> CentralityRe
         randic=randic_index(g),
     )
 
-
-def randomwalk_betweenness_by_solves(g: Graph) -> np.ndarray:
-    """Independent route: one reduced linear solve per pair, no L+.
-
-    Grounds node 0 and solves the reduced Laplacian for each injection
-    vector; used to validate the pseudo-inverse route.
-    """
-    n = g.n
-    if n < 3:
-        return np.zeros(n)
-    lap = np.diag(g.degrees) - g.adjacency
-    red = lap[1:, 1:]
-    edges = g.edges
-    rb = np.zeros(n)
-    for s in range(n):
-        for t in range(s + 1, n):
-            rhs = np.zeros(n)
-            rhs[s] = 1.0
-            rhs[t] = -1.0
-            v = np.zeros(n)
-            v[1:] = np.linalg.solve(red, rhs[1:])
-            through = np.zeros(n)
-            for u, w, wt in edges:
-                cur = abs(wt * (v[u] - v[w]))
-                through[u] += cur
-                through[w] += cur
-            through /= 2.0
-            through[s] = through[t] = 0.0
-            rb += through
-    return rb / ((n - 1) * (n - 2) / 2.0)

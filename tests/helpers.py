@@ -1,4 +1,5 @@
-"""Shared test fixtures: small named graphs and brute-force oracles that are
+"""Shared test fixtures: small named graphs, the seeded instance generators
+(the same ones `lapcent verify` draws from), and brute-force oracles that are
 deliberately independent of the package's own computation routes."""
 
 from itertools import combinations
@@ -6,14 +7,8 @@ from itertools import combinations
 import numpy as np
 
 from lapcent import Graph
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+from lapcent.verify import (complete_graph, path_graph, random_connected,
+                            random_tree, tree_from_pruefer)
 
 
 def star_graph(n):
@@ -23,68 +18,6 @@ def star_graph(n):
 
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_connected_graph(rng, n, p=0.4, weighted=False):
-    while True:
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    w = float(rng.uniform(0.2, 3.0)) if weighted else 1.0
-                    edges.append((u, v, w))
-        if len(edges) < n - 1:
-            continue
-        g = Graph(n, edges)
-        if _connected(g):
-            return g
-
-
-def random_tree(rng, n):
-    """Uniform labeled tree decoded from a random Pruefer sequence."""
-    if n <= 2:
-        return Graph(n, [(0, 1)] if n == 2 else [])
-    seq = [int(rng.integers(0, n)) for _ in range(n - 2)]
-    return tree_from_pruefer(seq, n)
-
-
-def tree_from_pruefer(seq, n):
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    edges = []
-    ptr = 0
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for x in seq:
-        edges.append((leaf, x))
-        deg[x] -= 1
-        if deg[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    return Graph(n, edges)
-
-
-def _connected(g):
-    seen = {0}
-    stack = [0]
-    adj = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
 
 
 # -- brute-force oracles ------------------------------------------------

@@ -1,8 +1,11 @@
 """Acceptance suite: each test enforces one numbered criterion at its stated
 tolerance and prints a one-line PASS record (run pytest -s to see them).
 
-Shared instance pools are module-scoped so the suite stays fast; every
-tolerance is pinned here, not configurable.
+A criterion whose instance pool is a `lapcent verify` sweep runs that check
+from the registry at the criterion's seed and tolerance, after pinning the
+sweep's instance count and n range. Where a criterion's pool differs, the
+test keeps its own pool and applies the registry's per-instance residual to
+it. Every tolerance is pinned here, not configurable.
 """
 
 import time
@@ -11,113 +14,71 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lapcent import (build_spectral, detour_overhead, estimate_hitting_mc,
-                     hitting_times_exact, abilene_topology, pert_preset,
-                     recurrence_overhead, sensitivity_report,
-                     topological_centrality, tree_center, tree_centrality,
-                     verify_circuit_identities)
-from lapcent._kernels import tree_scan
-from lapcent.forests import lplus_diag_fractions, lplus_diag_via_forests
-from lapcent.spectral import resistance_matrix
+from lapcent.forests import lplus_diag_fractions, tree_center
 from lapcent.topology import DOWN, FLAT, UP
+from lapcent.verify import (TABLE1_EXPECT, VerifyConfig, check_circuit_identities,
+                            check_commute_resistance, check_detour_average,
+                            check_detour_equivalence, check_electrical_detour,
+                            check_extremal_kirchhoff, check_forest_diagonal,
+                            check_sensitivity_directions, check_spectral_consistency,
+                            check_tree_partition, chunked_steps, hitting_estimates)
 from lapcent.walks import simulate_hitting_steps
 
-from helpers import (complete_graph, path_graph, random_connected_graph,
-                     random_tree, star_graph)
+from helpers import complete_graph, path_graph, star_graph
 
 
 def report(name, detail):
     print(f"PASS {name}: {detail}")
 
 
+def run_sweep(check, seed, tol, count, lo, hi):
+    """Run a registry sweep at a criterion's seed and tolerance, with its
+    instance count and n range pinned to the criterion's."""
+    sweep = check.sweep
+    assert (sweep.count, sweep.lo, sweep.hi) == (count, lo, hi)
+    res = check(VerifyConfig(seed=seed, tolerance=tol))
+    assert res.passed, res.line()
+    return res
+
+
 @pytest.fixture(scope="module")
 def pool100():
-    """100 seeded random connected graphs, n in [4, 12], edge prob 0.4."""
-    rng = np.random.default_rng(42)
-    out = []
-    for _ in range(100):
-        n = int(rng.integers(4, 13))
-        g = random_connected_graph(rng, n, p=0.4)
-        out.append((g, build_spectral(g), hitting_times_exact(g)))
-    return out
+    """The detour-average pool: 100 seeded random connected graphs, n in
+    [4, 12], edge prob 0.4."""
+    return list(check_detour_average.sweep.instances(42))
 
 
-def test_criterion_1_theorem1_average_detour(pool100):
+def test_criterion_1_theorem1_average_detour():
     t0 = time.perf_counter()
-    worst = 0.0
-    for g, b, ht in pool100:
-        n = g.n
-        H = ht.H
-        for k in range(n):
-            total = n * H[:, k].sum() + n * H[k, :].sum() - H.sum()
-            worst = max(worst, abs(total / (n * n * ht.vol) - b.lplus[k, k]))
+    res = run_sweep(check_detour_average, 42, 1e-9, 100, 4, 12)
     elapsed = time.perf_counter() - t0
-    assert worst <= 1e-9
     assert elapsed < 60.0
     report("criterion-1 (average detour = l+_kk)",
-           f"max residual {worst:.3e} on 100 graphs in {elapsed:.1f}s")
+           f"max residual {res.residual:.3e} on 100 graphs in {elapsed:.1f}s")
 
 
 def test_criterion_2_commute_identities(pool100):
-    worst_c = 0.0
-    for g, b, ht in pool100:
-        omega = resistance_matrix(b)
-        worst_c = max(worst_c, float(np.max(np.abs(ht.C - ht.vol * omega))))
-    assert worst_c <= 1e-9
-    worst_d = 0.0
-    small = [(g, ht) for g, _, ht in pool100 if g.n <= 8]
+    res = run_sweep(check_commute_resistance, 42, 1e-9, 100, 4, 12)
+    small = [g for g in pool100 if g.n <= 8]
     assert small
-    for g, ht in small:
-        n = g.n
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    hit = ht.H[i, k] + ht.H[k, j] - ht.H[i, j]
-                    com = (ht.C[i, k] + ht.C[k, j] - ht.C[i, j]) / 2.0
-                    rev = ht.H[j, k] + ht.H[k, i] - ht.H[j, i]
-                    worst_d = max(worst_d, abs(hit - com), abs(hit - rev))
+    worst_d = max(check_detour_equivalence.residual(g) for g in small)
     assert worst_d <= 1e-9
     report("criterion-2 (commute = Vol*resistance; detour equivalences)",
-           f"residuals {worst_c:.3e} / {worst_d:.3e} "
+           f"residuals {res.residual:.3e} / {worst_d:.3e} "
            f"({len(small)} graphs with n<=8 for the triple sweep)")
 
 
 def test_criterion_3_theorem2_electrical():
-    rng = np.random.default_rng(7)
-    worst_t = worst_i = 0.0
-    graphs = 0
-    for trial in range(20):
-        n = int(rng.integers(4, 11))
-        g = random_connected_graph(rng, n, p=0.4, weighted=bool(trial % 2))
-        b = build_spectral(g)
-        ht = hitting_times_exact(g)
-        graphs += 1
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    if len({i, k, j}) < 3:
-                        continue
-                    gap = abs(recurrence_overhead(b, i, k, j)
-                              - detour_overhead(ht, i, k, j))
-                    worst_t = max(worst_t, gap)
-        triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
-        worst_i = max(worst_i, verify_circuit_identities(b, triples).max_residual)
-    assert worst_t <= 1e-9
+    res = run_sweep(check_electrical_detour, 7, 1e-9, 20, 4, 10)
+    graphs = list(check_electrical_detour.sweep.instances(7))
+    worst_i = max(check_circuit_identities.residual(g) for g in graphs)
     assert worst_i <= 1e-9
     report("criterion-3 (electrical overhead; superposition/reciprocity)",
-           f"residuals {worst_t:.3e} / {worst_i:.3e} on {graphs} graphs")
+           f"residuals {res.residual:.3e} / {worst_i:.3e} on {len(graphs)} graphs")
 
 
 def test_criterion_4_forest_diagonal():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(500):
-        n = int(rng.integers(3, 8))
-        g = random_connected_graph(rng, n, p=0.5)
-        gap = float(np.max(np.abs(lplus_diag_via_forests(g)
-                                  - np.diag(build_spectral(g).lplus))))
-        worst = max(worst, gap)
-    assert worst <= 1e-9
+    res = run_sweep(check_forest_diagonal, 11, 1e-9, 500, 3, 7)
     # exact rational hand values
     assert lplus_diag_fractions(path_graph(3)) == \
         [Fraction(5, 9), Fraction(2, 9), Fraction(5, 9)]
@@ -127,46 +88,30 @@ def test_criterion_4_forest_diagonal():
     p4 = lplus_diag_fractions(path_graph(4))
     assert p4 == [Fraction(7, 8), Fraction(3, 8), Fraction(3, 8), Fraction(7, 8)]
     report("criterion-4 (forest census = spectral diagonal)",
-           f"max residual {worst:.3e} on 500 graphs; rational hand values exact")
+           f"max residual {res.residual:.3e} on 500 graphs; rational hand values exact")
 
 
 def test_criterion_5_tree_centrality():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(3, 13))
-        t = random_tree(rng, n)
-        b = build_spectral(t)
-        gap = float(np.max(np.abs(tree_centrality(t) - np.diag(b.lplus))))
-        worst = max(worst, gap)
-        centers = tree_center(t)
-        assert int(np.argmax(topological_centrality(b))) in centers
-    assert worst <= 1e-9
+    # the residual is at least 1 on a tree whose most central node is off-center
+    res = run_sweep(check_tree_partition, 13, 1e-9, 100, 3, 12)
     assert tree_center(path_graph(4)) == (1, 2)
     report("criterion-5 (tree partition formula; centers)",
-           f"max residual {worst:.3e} on 100 trees; P4 tie (1, 2)")
+           f"max residual {res.residual:.3e} on 100 trees; P4 tie (1, 2)")
 
 
 def test_criterion_6_monte_carlo_oracle():
     checked = []
     for g, pairs in ((path_graph(3), [(0, 1), (0, 2), (1, 0)]),
                      (complete_graph(4), [(0, 1), (1, 3)])):
-        exact = hitting_times_exact(g).H
-        for i, j in pairs:
-            est = estimate_hitting_mc(g, i, j, 100000, seed=42)
+        for i, j, est, exact in hitting_estimates(g, pairs, 100000, seed=42):
             se = max(est.std_error, 1e-12)
-            assert abs(est.mean - exact[i, j]) <= 4 * se, (i, j, est)
-            checked.append(abs(est.mean - exact[i, j]) / se)
+            assert abs(est.mean - exact) <= 4 * se, (i, j, est)
+            checked.append(abs(est.mean - exact) / se)
     g = complete_graph(4)
     full = simulate_hitting_steps(g, 0, 3, 100000, seed=42)
     again = simulate_hitting_steps(g, 0, 3, 100000, seed=42)
-    chunks = np.concatenate([
-        simulate_hitting_steps(g, 0, 3, 33333, seed=42),
-        simulate_hitting_steps(g, 0, 3, 33333, seed=42, run_start=33333),
-        simulate_hitting_steps(g, 0, 3, 33334, seed=42, run_start=66666),
-    ])
     assert np.array_equal(full, again)
-    assert np.array_equal(full, chunks)
+    assert np.array_equal(full, chunked_steps(g, 0, 3, 42, (33333, 33333, 33334)))
     report("criterion-6 (Monte Carlo oracle)",
            f"worst deviation {max(checked):.2f} SE at 1e5 runs; "
            "sequence deterministic and chunk-invariant")
@@ -174,75 +119,33 @@ def test_criterion_6_monte_carlo_oracle():
 
 def test_criterion_7_extremal_kirchhoff():
     t0 = time.perf_counter()
-    for n in range(3, 9):
-        min_sum, min_count, star_sum, star_count = (int(x) for x in tree_scan(n))
-        assert star_sum == (n - 1) ** 2
-        assert min_sum == star_sum
-        assert min_count == star_count == n
-    # all 728 connected 5-node graphs, batch eigendecomposition
-    n = 5
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    masks = np.arange(1 << len(pairs))
-    laps = np.zeros((len(masks), n, n))
-    for bit, (u, v) in enumerate(pairs):
-        has = (masks >> bit) & 1
-        laps[:, u, v] -= has
-        laps[:, v, u] -= has
-        laps[:, u, u] += has
-        laps[:, v, v] += has
-    evals = np.linalg.eigvalsh(laps)
-    connected = evals[:, 1] > 1e-9
-    assert int(connected.sum()) == 728
-    kvals = np.where(connected,
-                     np.sum(1.0 / np.where(evals[:, 1:] > 1e-12, evals[:, 1:],
-                                           np.inf), axis=1),
-                     np.inf)
-    best = int(np.argmin(kvals))
-    assert best == (1 << len(pairs)) - 1  # the complete graph's mask
+    res = check_extremal_kirchhoff(VerifyConfig())
     elapsed = time.perf_counter() - t0
+    assert res.passed, res.line()
     assert elapsed < 120.0
-    report("criterion-7 (extremal Kirchhoff)",
-           f"star minimal for all trees n<=8; K5 minimal of 728 in {elapsed:.1f}s")
+    report("criterion-7 (extremal Kirchhoff)", f"{res.detail} in {elapsed:.1f}s")
 
 
 def test_criterion_8_sensitivity_directions():
-    g0 = abilene_topology(seed=42)
-    g1 = pert_preset(g0, "pert1")
-    g2 = pert_preset(g1, "pert2")
-    rep1 = sensitivity_report(g0, g1)
-    rep2 = sensitivity_report(g1, g2)
-    assert [rep1.directions[k] for k in
-            ("kstar", "randic", "gc_mean", "sc_mean", "gb_mean", "rb_mean")] \
-        == [DOWN, UP, DOWN, UP, UP, UP]
-    assert [rep2.directions[k] for k in
-            ("kstar", "randic", "gc_mean", "sc_mean", "gb_mean", "rb_mean")] \
-        == [UP, FLAT, UP, DOWN, DOWN, UP]
-    assert rep2.deltas["randic"] == 0.0
+    keys = ("kstar", "randic", "gc_mean", "sc_mean", "gb_mean", "rb_mean")
+    assert [TABLE1_EXPECT["pert1"][k] for k in keys] == [DOWN, UP, DOWN, UP, UP, UP]
+    assert [TABLE1_EXPECT["pert2"][k] for k in keys] == [UP, FLAT, UP, DOWN, DOWN, UP]
+    res = check_sensitivity_directions(VerifyConfig(seed=42))
+    assert res.passed, res.line()
     # stretch-goal numbers, reported not asserted: the interior wiring of the
     # preset beyond its hard constraints is this package's own fill rule
     report("criterion-8 (perturbation direction vectors)",
-           "all 12 arrows match; "
-           f"dR1={rep1.deltas['randic']:+.3f} (reference +0.029), "
-           f"dK*={rep1.deltas['kstar']:+.3f} (reference -0.045), "
-           f"dK*'={rep2.deltas['kstar']:+.3f} (reference +0.036)")
+           f"all 12 arrows match; {res.detail} "
+           "(reference dK* -0.045/+0.036, dR1 +0.029)")
 
 
 def test_criterion_9_spectral_self_consistency(pool100):
-    worst_route = worst_mp = worst_center = 0.0
-    for g, b, _ in pool100:
-        lap, lp = b.laplacian, b.lplus
-        worst_route = max(worst_route, float(np.max(np.abs(lp - b.lplus_eigen))))
-        worst_mp = max(
-            worst_mp,
-            float(np.max(np.abs(lap @ lp @ lap - lap))) / max(1.0, np.abs(lap).max()),
-            float(np.max(np.abs(lp @ lap @ lp - lp))) / max(1.0, np.abs(lp).max()),
-        )
-        worst_center = max(worst_center,
-                           float(np.max(np.abs(lp.sum(axis=0)))),
-                           float(np.max(np.abs(lp.sum(axis=1)))))
-    assert worst_route <= 1e-8
-    assert worst_mp <= 1e-9
-    assert worst_center <= 1e-10
+    route, mp, center, embed = np.max(
+        [check_spectral_consistency.residual(g) for g in pool100], axis=0)
+    assert route <= 1e-8
+    assert mp <= 1e-9
+    assert center <= 1e-10
+    assert embed <= 1e-9
     report("criterion-9 (spectral self-consistency)",
-           f"routes {worst_route:.3e}; Moore-Penrose {worst_mp:.3e}; "
-           f"centering {worst_center:.3e}")
+           f"routes {route:.3e}; Moore-Penrose {mp:.3e}; "
+           f"centering {center:.3e}; embedding {embed:.3e}")

@@ -9,7 +9,7 @@ from lapcent.graph import GraphError
 from lapcent.walks import estimate_visits_mc
 
 from helpers import (complete_graph, fundamental_visits, path_graph,
-                     random_connected_graph)
+                     random_connected)
 
 
 class TestVoltages:
@@ -24,7 +24,7 @@ class TestVoltages:
     def test_visits_match_fundamental_matrix(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            g = random_connected_graph(rng, int(rng.integers(3, 9)),
+            g = random_connected(rng, int(rng.integers(3, 9)),
                                        weighted=bool(rng.integers(2)))
             b = build_spectral(g)
             i, j = rng.integers(0, g.n, 2)
@@ -42,7 +42,7 @@ class TestVoltages:
 
     def test_sink_gauge(self):
         rng = np.random.default_rng(3)
-        g = random_connected_graph(rng, 7)
+        g = random_connected(rng, 7)
         b = build_spectral(g)
         for i in range(7):
             for j in range(7):
@@ -56,7 +56,7 @@ class TestVoltages:
     def test_visits_nonnegative_and_source_positive(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            g = random_connected_graph(rng, 8)
+            g = random_connected(rng, 8)
             b = build_spectral(g)
             for i in range(8):
                 for j in range(8):
@@ -84,7 +84,7 @@ class TestRecurrenceOverhead:
     def test_equals_detour_overhead_everywhere(self):
         rng = np.random.default_rng(5)
         for trial in range(8):
-            g = random_connected_graph(rng, int(rng.integers(4, 11)),
+            g = random_connected(rng, int(rng.integers(4, 11)),
                                        weighted=bool(trial % 2))
             b = build_spectral(g)
             ht = hitting_times_exact(g)
@@ -125,7 +125,7 @@ class TestCurrentLaw:
     def test_interior_balance(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
-            g = random_connected_graph(rng, int(rng.integers(3, 10)),
+            g = random_connected(rng, int(rng.integers(3, 10)),
                                        weighted=bool(trial % 2))
             b = build_spectral(g)
             for i in range(g.n):

@@ -14,7 +14,7 @@ from lapcent.spectral import resistance_matrix
 
 from helpers import (brute_forest_census, brute_spanning_tree_count,
                      brute_two_tree_forests, complete_graph, path_graph,
-                     random_connected_graph, random_tree, star_graph)
+                     random_connected, random_tree, star_graph)
 
 
 class TestDeterminant:
@@ -49,7 +49,7 @@ class TestSpanningTrees:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(8):
-            g = random_connected_graph(rng, int(rng.integers(3, 7)), p=0.6)
+            g = random_connected(rng, int(rng.integers(3, 7)), p=0.6)
             assert count_spanning_trees(g) == brute_spanning_tree_count(g)
 
     def test_weighted_tree_weight(self):
@@ -79,7 +79,7 @@ class TestBipartitions:
 
     def test_blocks_partition_and_node0_in_s(self):
         rng = np.random.default_rng(2)
-        g = random_connected_graph(rng, 7, p=0.5)
+        g = random_connected(rng, 7, p=0.5)
         for p in enumerate_bipartitions(g):
             assert p.s_nodes[0] == 0
             assert sorted(p.s_nodes + p.sprime_nodes) == list(range(7))
@@ -111,7 +111,7 @@ class TestForestCensus:
     def test_against_raw_forest_enumeration(self):
         rng = np.random.default_rng(3)
         for _ in range(12):
-            g = random_connected_graph(rng, int(rng.integers(3, 7)), p=0.55)
+            g = random_connected(rng, int(rng.integers(3, 7)), p=0.55)
             rooted, n2 = brute_forest_census(g)
             c = forest_census(g)
             assert list(c.eps_rooted) == rooted
@@ -121,14 +121,14 @@ class TestForestCensus:
         # every two-tree forest carries two roots
         rng = np.random.default_rng(4)
         for _ in range(10):
-            g = random_connected_graph(rng, int(rng.integers(3, 7)), p=0.5)
+            g = random_connected(rng, int(rng.integers(3, 7)), p=0.5)
             c = forest_census(g)
             assert sum(c.eps_rooted) == 2 * c.eps_n2
 
     def test_per_partition_product_rule(self):
         # forests landing in partition (S, S') number |T(S)| * |T(S')|
         rng = np.random.default_rng(5)
-        g = random_connected_graph(rng, 6, p=0.5)
+        g = random_connected(rng, 6, p=0.5)
         by_parts = {}
         for a, b in brute_two_tree_forests(g):
             key = a if 0 in a else b
@@ -138,7 +138,7 @@ class TestForestCensus:
 
     def test_per_partition_rooted_ratio(self):
         # with i in S and j in S', rooted counts are in ratio |S'| : |S|
-        g = random_connected_graph(np.random.default_rng(6), 6, p=0.5)
+        g = random_connected(np.random.default_rng(6), 6, p=0.5)
         for p in enumerate_bipartitions(g):
             pair = p.trees_s * p.trees_sprime
             i, j = p.s_nodes[0], p.sprime_nodes[0]
@@ -159,7 +159,7 @@ class TestForestDiagonal:
     def test_matches_spectral(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            g = random_connected_graph(rng, int(rng.integers(3, 8)), p=0.5)
+            g = random_connected(rng, int(rng.integers(3, 8)), p=0.5)
             diag = np.diag(build_spectral(g).lplus)
             assert np.max(np.abs(lplus_diag_via_forests(g) - diag)) <= 1e-9
 

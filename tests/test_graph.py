@@ -8,7 +8,7 @@ from lapcent import (DisconnectedError, EdgeListError, Graph, GraphError,
                      is_connected, parse_edge_list, rewire,
                      shortest_path_distances)
 
-from helpers import complete_graph, path_graph, random_connected_graph
+from helpers import complete_graph, path_graph, random_connected
 
 
 class TestParse:

@@ -7,7 +7,7 @@ from lapcent import (DisconnectedError, Graph, build_spectral,
                      topological_centrality)
 from lapcent.spectral import lplus_diag_spectral
 
-from helpers import (complete_graph, path_graph, random_connected_graph,
+from helpers import (complete_graph, path_graph, random_connected,
                      star_graph)
 
 
@@ -31,7 +31,7 @@ class TestPseudoInverse:
     def test_routes_agree(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            g = random_connected_graph(rng, int(rng.integers(2, 13)),
+            g = random_connected(rng, int(rng.integers(2, 13)),
                                        weighted=bool(rng.integers(2)))
             b = build_spectral(g)
             assert np.max(np.abs(b.lplus - b.lplus_eigen)) <= 1e-8
@@ -39,7 +39,7 @@ class TestPseudoInverse:
     def test_moore_penrose_and_centering(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
-            g = random_connected_graph(rng, int(rng.integers(2, 13)))
+            g = random_connected(rng, int(rng.integers(2, 13)))
             b = build_spectral(g)
             lap, lp = b.laplacian, b.lplus
             assert np.max(np.abs(lap @ lp @ lap - lap)) <= 1e-9 * max(1, np.abs(lap).max())
@@ -50,7 +50,7 @@ class TestPseudoInverse:
     def test_embedding_gram_matrix(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            g = random_connected_graph(rng, 9)
+            g = random_connected(rng, 9)
             b = build_spectral(g)
             assert np.max(np.abs(b.embedding.T @ b.embedding - b.lplus)) <= 1e-9
             norms = np.sum(b.embedding**2, axis=0)
@@ -79,7 +79,7 @@ class TestCentrality:
     def test_spectral_form_matches_diagonal(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            g = random_connected_graph(rng, 10, weighted=True)
+            g = random_connected(rng, 10, weighted=True)
             b = build_spectral(g)
             assert np.max(np.abs(lplus_diag_spectral(b) - np.diag(b.lplus))) <= 1e-9
 
@@ -103,7 +103,7 @@ class TestKirchhoff:
     def test_sum_of_reciprocal_centralities(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            g = random_connected_graph(rng, 11)
+            g = random_connected(rng, 11)
             b = build_spectral(g)
             k, _ = kirchhoff_index(b)
             assert np.sum(1.0 / topological_centrality(b)) == pytest.approx(k, abs=1e-9)
@@ -120,7 +120,7 @@ class TestResistance:
 
     def test_symmetry_nonnegativity_zero_diagonal(self):
         rng = np.random.default_rng(10)
-        g = random_connected_graph(rng, 9, weighted=True)
+        g = random_connected(rng, 9, weighted=True)
         omega = resistance_matrix(build_spectral(g))
         assert np.allclose(omega, omega.T, atol=1e-12)
         assert np.all(np.diag(omega) < 1e-12)
@@ -129,7 +129,7 @@ class TestResistance:
     def test_triangle_inequality(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
-            g = random_connected_graph(rng, int(rng.integers(3, 11)))
+            g = random_connected(rng, int(rng.integers(3, 11)))
             omega = resistance_matrix(build_spectral(g))
             viol = omega[:, :, None] - omega[:, None, :] - omega[None, :, :]
             assert viol.max() <= 1e-9

@@ -10,7 +10,7 @@ from lapcent.graph import DisconnectedError, GraphError
 from lapcent.walks import commute_vs_resistance_gap, simulate_hitting_steps
 
 from helpers import (complete_graph, cycle_graph, hitting_by_fundamental,
-                     path_graph, random_connected_graph, star_graph)
+                     path_graph, random_connected, star_graph)
 
 
 class TestExactHitting:
@@ -31,7 +31,7 @@ class TestExactHitting:
     def test_matches_fundamental_matrix_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            g = random_connected_graph(rng, int(rng.integers(3, 9)),
+            g = random_connected(rng, int(rng.integers(3, 9)),
                                        weighted=bool(rng.integers(2)))
             H = hitting_times_exact(g).H
             for _ in range(4):
@@ -47,7 +47,7 @@ class TestExactHitting:
         assert ht.C[0, 2] == pytest.approx(8.0)  # Vol * Omega = 4 * 2
         rng = np.random.default_rng(1)
         for _ in range(10):
-            g = random_connected_graph(rng, int(rng.integers(4, 11)),
+            g = random_connected(rng, int(rng.integers(4, 11)),
                                        weighted=bool(rng.integers(2)))
             assert commute_vs_resistance_gap(hitting_times_exact(g),
                                              build_spectral(g)) <= 1e-9
@@ -76,7 +76,7 @@ class TestDetourOverhead:
 
     def test_symmetric_in_endpoints(self):
         rng = np.random.default_rng(2)
-        g = random_connected_graph(rng, 7)
+        g = random_connected(rng, 7)
         ht = hitting_times_exact(g)
         for i in range(7):
             for k in range(7):
@@ -104,7 +104,7 @@ class TestAverageDetour:
     def test_equals_lplus_diagonal_everywhere(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
-            g = random_connected_graph(rng, int(rng.integers(4, 13)))
+            g = random_connected(rng, int(rng.integers(4, 13)))
             b = build_spectral(g)
             ht = hitting_times_exact(g)
             for k in range(g.n):
@@ -135,7 +135,7 @@ class TestCommuteIdentities:
     def test_most_central_has_smallest_commute_row(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            g = random_connected_graph(rng, 9)
+            g = random_connected(rng, 9)
             b = build_spectral(g)
             ht = hitting_times_exact(g)
             assert int(np.argmin(ht.C.sum(axis=1))) == int(np.argmin(np.diag(b.lplus)))

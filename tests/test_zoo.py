@@ -7,10 +7,10 @@ from lapcent import (Graph, build_spectral, centrality_report,
                      geodesic_betweenness, geodesic_closeness, max_normalized,
                      randic_index, randomwalk_betweenness,
                      subgraph_centrality)
-from lapcent.zoo import randomwalk_betweenness_by_solves
+from lapcent.verify import randomwalk_betweenness_by_solves
 
 from helpers import (complete_graph, cycle_graph, path_graph,
-                     random_connected_graph, star_graph)
+                     random_connected, star_graph)
 
 
 class TestGeodesicCloseness:
@@ -68,7 +68,7 @@ class TestSubgraphCentrality:
     def test_matches_factorial_series(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            g = random_connected_graph(rng, int(rng.integers(2, 11)))
+            g = random_connected(rng, int(rng.integers(2, 11)))
             a = g.adjacency
             term = np.eye(g.n)
             series = np.ones(g.n)
@@ -90,7 +90,7 @@ class TestRandomWalkBetweenness:
     def test_matches_per_pair_solves(self):
         rng = np.random.default_rng(1)
         for _ in range(8):
-            g = random_connected_graph(rng, int(rng.integers(3, 9)))
+            g = random_connected(rng, int(rng.integers(3, 9)))
             gap = np.max(np.abs(randomwalk_betweenness(g)
                                 - randomwalk_betweenness_by_solves(g)))
             assert gap <= 1e-9
@@ -117,7 +117,7 @@ class TestNormalizationAndReport:
         assert not max_normalized(np.zeros(3)).any()
 
     def test_report_averages_are_means(self):
-        g = random_connected_graph(np.random.default_rng(2), 8)
+        g = random_connected(np.random.default_rng(2), 8)
         rep = centrality_report(g)
         avg = rep.averages()
         for name in rep.PER_NODE:
@@ -137,7 +137,7 @@ class TestNormalizationAndReport:
         assert len(rows[1]) == 2 + 2 * len(centrality_report(g).PER_NODE)
 
     def test_normalized_argmax_preserved(self):
-        g = random_connected_graph(np.random.default_rng(3), 9)
+        g = random_connected(np.random.default_rng(3), 9)
         rep = centrality_report(g)
         norm = rep.normalized()
         for name in rep.PER_NODE:
