@@ -2,7 +2,16 @@
 
 Randomness is a splitmix64 stream. Each run's stream is seeded from
 (master seed, run index) only, so results never depend on how runs are
-batched across workers.
+batched into blocks or across calls.
+
+Walks run in lockstep: a block of runs starts at the source and every run
+still walking takes one step per numpy iteration; a run leaves the block
+when it reaches the target. The neighbor of a step is found by a batched
+bisection over the node's cumulative-weight slice: it picks the same
+neighbor as a linear scan for the first entry above the draw, in O(log d)
+numpy operations per step. The tree scan decodes a block of Pruefer
+sequences at once, one row per sequence. Block sizes are fixed, so working
+memory does not grow with the run count or the number of trees.
 """
 
 from __future__ import annotations
@@ -17,7 +26,12 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
+_ONE = np.uint64(1)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
+
+RUN_BLOCK = 65536      # walks simulated side by side
+VISIT_CELLS = 1 << 21  # per-run visit counters held at once (runs x nodes)
+TREE_BLOCK = 8192      # Pruefer sequences decoded side by side
 
 
 def _mix64(z):
@@ -28,83 +42,99 @@ def _mix64(z):
 
 
 def _run_state(seed, run_index):
-    """Initial stream state for one run: the run_index-th splitmix64 output."""
-    return _mix64(seed + GOLD * np.uint64(run_index + 1))
+    """Initial stream state of each run: the run_index-th splitmix64 output."""
+    return _mix64(seed + GOLD * (np.asarray(run_index, np.uint64) + _ONE))
 
 
-def _walk_steps(indptr, nbrs, cumw, src, dst, run_start, run_count, seed, cap):
+def _pick(cumw, lo, last, target, rounds):
+    """First e in [lo, last) with target < cumw[e], else last.
+
+    A bisection run on every walk at once. It finds the entry a linear scan
+    would because weights are positive, so cumw never decreases within a
+    node's slice. `rounds` must be at least the bit length of the longest
+    range last - lo. A walk whose range is empty keeps its bounds, so its
+    `mid` stays a valid index.
+    """
+    hi = last
+    for _ in range(rounds):
+        mid = (lo + hi) >> 1
+        right = (lo < hi) & (cumw[mid] <= target)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
+
+
+def _walk_block(indptr, nbrs, cumw, src, dst, first_run, count, seed, cap, visits=None):
+    """Step counts of `count` runs src -> dst simulated in lockstep; -1 marks
+    a run still walking after `cap` steps.
+
+    Runs are first_run, first_run+1, ...; each draws one uniform per step
+    from its own stream. If `visits` (count x n) is given, visits[r, u]
+    counts the steps run r takes from u.
+    """
+    rounds = int(np.max(np.diff(indptr)) - 1).bit_length()
+    state = _run_state(np.uint64(seed), first_run + np.arange(count))
+    steps = np.full(count, -1, np.int64)
+    live = np.arange(count)
+    u = np.full(count, src, np.int64)
+    k = 0
+    while True:
+        arrived = u == dst
+        if arrived.any():
+            steps[live[arrived]] = k
+            walking = ~arrived
+            live, u, state = live[walking], u[walking], state[walking]
+        if live.size == 0 or k == cap:
+            return steps
+        if visits is not None:
+            visits[live, u] += 1
+        state += GOLD
+        r01 = (_mix64(state) >> _S11).astype(np.float64) * _INV53
+        last = indptr[u + 1] - 1
+        u = nbrs[_pick(cumw, indptr[u], last, r01 * cumw[last], rounds)]
+        k += 1
+
+
+def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0, cap=10**7):
     """Step counts of simulated walks src -> dst; -1 marks a capped run.
 
-    One uniform draw per step; the neighbor is picked by scanning the node's
-    cumulative-weight slice, so weighted and unweighted graphs share a path.
+    Runs are run_start, run_start+1, ..., simulated RUN_BLOCK at a time.
     """
-    out = np.empty(run_count, np.int64)
-    for r in range(run_count):
-        state = _run_state(seed, run_start + r)
-        u = src
-        steps = 0
-        while u != dst and steps < cap:
-            state = state + GOLD
-            z = _mix64(state)
-            r01 = np.float64(z >> _S11) * _INV53
-            lo = indptr[u]
-            hi = indptr[u + 1]
-            target = r01 * cumw[hi - 1]
-            nxt = nbrs[hi - 1]
-            for e in range(lo, hi):
-                if target < cumw[e]:
-                    nxt = nbrs[e]
-                    break
-            u = nxt
-            steps += 1
-        out[r] = steps if u == dst else -1
+    out = np.empty(runs, np.int64)
+    for start in range(0, runs, RUN_BLOCK):
+        count = min(RUN_BLOCK, runs - start)
+        out[start:start + count] = _walk_block(indptr, nbrs, cumw, src, dst,
+                                               run_start + start, count, seed, cap)
     return out
 
 
-def _walk_visits(indptr, nbrs, cumw, n, src, dst, run_start, run_count, seed, cap):
+def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0, cap=10**7):
     """Per-node visit counts of walks src -> dst, aggregated over runs.
 
     A visit is counted at every position the walk occupies before absorption,
     so the start counts and the final arrival at dst does not. Returns
     (sum, sum-of-squares, capped-run-count); capped runs are excluded from
-    the sums.
+    the sums. Runs are simulated in blocks of at most VISIT_CELLS // n, so
+    the per-run counters stay bounded. The sums are accumulated as integers,
+    so they do not depend on the block size.
     """
-    sums = np.zeros(n, np.float64)
-    sumsq = np.zeros(n, np.float64)
-    visits = np.empty(n, np.int64)
+    block = max(1, min(RUN_BLOCK, VISIT_CELLS // n))
+    sums = np.zeros(n, np.int64)
+    sumsq = np.zeros(n, np.int64)
     capped = 0
-    for r in range(run_count):
-        state = _run_state(seed, run_start + r)
-        u = src
-        steps = 0
-        for k in range(n):
-            visits[k] = 0
-        while u != dst and steps < cap:
-            visits[u] += 1
-            state = state + GOLD
-            z = _mix64(state)
-            r01 = np.float64(z >> _S11) * _INV53
-            lo = indptr[u]
-            hi = indptr[u + 1]
-            target = r01 * cumw[hi - 1]
-            nxt = nbrs[hi - 1]
-            for e in range(lo, hi):
-                if target < cumw[e]:
-                    nxt = nbrs[e]
-                    break
-            u = nxt
-            steps += 1
-        if u != dst:
-            capped += 1
-            continue
-        for k in range(n):
-            vk = np.float64(visits[k])
-            sums[k] += vk
-            sumsq[k] += vk * vk
-    return sums, sumsq, capped
+    for start in range(0, runs, block):
+        count = min(block, runs - start)
+        visits = np.zeros((count, n), np.int64)
+        steps = _walk_block(indptr, nbrs, cumw, src, dst, run_start + start,
+                            count, seed, cap, visits)
+        done = visits[steps >= 0]
+        capped += count - len(done)
+        sums += done.sum(axis=0)
+        sumsq += (done * done).sum(axis=0)
+    return sums.astype(np.float64), sumsq.astype(np.float64), capped
 
 
-def _tree_scan(n):
+def tree_scan(n):
     """Scan every labeled tree on n nodes (all n**(n-2) Pruefer sequences).
 
     For each tree computes the integer sum over edges of s*(n-s), where s and
@@ -113,96 +143,48 @@ def _tree_scan(n):
     the minimum, how many trees attain it, and the same data for stars
     (max degree n-1). Returns (min_sum, min_count, star_sum, star_count).
 
-    The sizes come out of the decode itself: sz[v] counts v and every node
-    already removed through it, so when a leaf is removed the edge it leaves
-    by splits the tree into sz[leaf] and n - sz[leaf] nodes.
+    Sequences are decoded TREE_BLOCK at a time, one row each: every round
+    removes each row's smallest leaf and joins it to the row's next sequence
+    entry. The sizes come out of the decode itself: sz[v] counts v and every
+    node already removed through it, so when a leaf is removed the edge it
+    leaves by splits the tree into sz[leaf] and n - sz[leaf] nodes.
     """
-    slen = n - 2
-    total = 1
-    for _ in range(slen):
-        total *= n
-    seq = np.zeros(slen, np.int64)
-    deg = np.empty(n, np.int64)
-    sz = np.empty(n, np.int64)
-    min_sum = np.int64(2**62)
-    min_count = 0
-    star_sum = np.int64(-1)
-    star_count = 0
-    for _ in range(total):
-        maxdeg = 1
-        for i in range(n):
-            deg[i] = 1
-            sz[i] = 1
-        for i in range(slen):
-            deg[seq[i]] += 1
-            if deg[seq[i]] > maxdeg:
-                maxdeg = deg[seq[i]]
-        ptr = 0
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        s = np.int64(0)
-        for i in range(slen):
-            x = seq[i]
-            s += sz[leaf] * (n - sz[leaf])
-            sz[x] += sz[leaf]
-            deg[x] -= 1
-            if deg[x] == 1 and x < ptr:
-                leaf = x
-            else:
-                ptr += 1
-                while deg[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        s += sz[leaf] * (n - sz[leaf])
-        if s < min_sum:
-            min_sum = s
-            min_count = 1
-        elif s == min_sum:
-            min_count += 1
-        if maxdeg == n - 1:
-            star_sum = s
-            star_count += 1
-        # advance the sequence (base-n counter)
-        j = slen - 1
-        while j >= 0:
-            seq[j] += 1
-            if seq[j] < n:
-                break
-            seq[j] = 0
-            j -= 1
+    slen = max(n - 2, 0)
+    total = n ** slen
+    place = n ** np.arange(slen - 1, -1, -1)  # first entry most significant
+    min_sum, min_count, star_sum, star_count = 2**62, 0, -1, 0
+    for start in range(0, total, TREE_BLOCK):
+        code = np.arange(start, min(start + TREE_BLOCK, total))
+        seq = code[:, None] // place % n
+        rows = np.arange(len(code))
+        deg = np.ones((len(code), n), np.int64)
+        for x in seq.T:
+            deg[rows, x] += 1
+        star = deg.max(axis=1) == n - 1
+        sz = np.ones_like(deg)
+        s = np.zeros(len(code), np.int64)
+        for x in seq.T:
+            leaf = np.argmax(deg == 1, axis=1)
+            part = sz[rows, leaf]
+            s += part * (n - part)
+            sz[rows, x] += part
+            deg[rows, x] -= 1
+            deg[rows, leaf] = 0
+        # the last edge joins the two nodes left
+        part = sz[rows, np.argmax(deg == 1, axis=1)]
+        s += part * (n - part)
+        low = int(s.min())
+        if low < min_sum:
+            min_sum, min_count = low, 0
+        if low == min_sum:
+            min_count += int(np.count_nonzero(s == low))
+        if star.any():
+            star_sum = int(s[star][-1])
+            star_count += int(np.count_nonzero(star))
     return min_sum, min_count, star_sum, star_count
 
 
-# -- public wrappers ---------------------------------------------------
-# The splitmix64 arithmetic wraps uint64 values, which numpy flags as scalar
-# overflow; that wrapping is the point, so silence it.
-
-
-def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0, cap=10**7):
-    args = (indptr, nbrs, cumw, np.int64(src), np.int64(dst),
-            np.int64(run_start), np.int64(runs), np.uint64(seed), np.int64(cap))
-    with np.errstate(over="ignore"):
-        return _walk_steps(*args)
-
-
-def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0, cap=10**7):
-    args = (indptr, nbrs, cumw, np.int64(n), np.int64(src), np.int64(dst),
-            np.int64(run_start), np.int64(runs), np.uint64(seed), np.int64(cap))
-    with np.errstate(over="ignore"):
-        return _walk_visits(*args)
-
-
-def tree_scan(n):
-    return _tree_scan(np.int64(n))
-
-
 def splitmix64_stream(seed, count):
-    """First `count` outputs of the splitmix64 stream for `seed` (testing aid)."""
-    out = np.empty(count, np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed)
-        for i in range(count):
-            state = state + GOLD
-            out[i] = _mix64(state)
-    return out
+    """First `count` outputs of the splitmix64 stream for `seed` (testing aid):
+    the r-th output is the initial state of run r."""
+    return _run_state(np.uint64(seed), np.arange(count))

@@ -644,10 +644,15 @@ def check_sensitivity_directions(cfg: VerifyConfig) -> CheckResult:
 
 
 def run_checks(cfg: VerifyConfig, only: str | None = None):
-    """Run (a filtered subset of) all checks; returns the result list."""
-    results = []
-    for name, fn in ALL_CHECKS:
-        if only and only not in name:
-            continue
-        results.append(fn(cfg))
-    return results
+    """Run (a filtered subset of) all checks; returns the result list.
+
+    Raises ValueError before running anything if `cfg.max_n` lies below a
+    selected sweep's smallest instance size.
+    """
+    selected = [fn for name, fn in ALL_CHECKS if not only or only in name]
+    for fn in selected:
+        sweep = getattr(fn, "sweep", None)
+        if sweep and cfg.max_n is not None and cfg.max_n < sweep.lo:
+            raise ValueError(f"--n {cfg.max_n} is below {sweep.name}'s "
+                             f"smallest instance size {sweep.lo}")
+    return [fn(cfg) for fn in selected]

@@ -122,6 +122,14 @@ class TestVerify:
         from lapcent import load_edge_list
         assert load_edge_list(dumps[0]).n >= 4
 
+    def test_n_below_sweep_minimum_is_usage_error(self, capsys):
+        # detour-average draws n from [4, N], so N = 3 leaves it no size
+        code, out, err = run(capsys, "verify", "--n", "3")
+        assert code == 2 and out == ""
+        assert "--n 3 is below detour-average's smallest instance size 4" in err
+        code, out, _ = run(capsys, "verify", "--n", "3", "--only", "forest")
+        assert code == 0 and out.startswith("PASS forest-diagonal")
+
     def test_unknown_filter(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "zzz-no-such")
         assert code == 2 and "no check matches" in err

@@ -1,16 +1,19 @@
-"""Kernel-level tests: RNG reference vectors, walk determinism, and the
-exhaustive tree scan against an independent decoder."""
+"""Kernel-level tests: RNG reference vectors, walk determinism, the
+lockstep walks against a scalar reference walker, block-size invariance, and
+the exhaustive tree scan against an independent decoder."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
-from lapcent import _kernels
+from lapcent import Graph, _kernels, abilene_topology
 
-from helpers import complete_graph, path_graph, tree_from_pruefer
+from helpers import complete_graph, path_graph, random_connected, tree_from_pruefer
 
 M64 = (1 << 64) - 1
+GOLD = 0x9E3779B97F4A7C15
 
 
 def ref_mix64(z):
@@ -23,7 +26,7 @@ def ref_stream(seed, count):
     out = []
     s = seed & M64
     for _ in range(count):
-        s = (s + 0x9E3779B97F4A7C15) & M64
+        s = (s + GOLD) & M64
         out.append(ref_mix64(s))
     return out
 
@@ -85,13 +88,113 @@ def test_walk_visits_match_step_counts():
 
 def test_weighted_walks_prefer_heavy_edges():
     # from the middle of a weighted path, the walk exits toward the heavy side
-    g = None
-    from lapcent import Graph
     g = Graph(3, [(0, 1, 1.0), (1, 2, 9.0)])
     indptr, nbrs, cumw = g.csr()
     steps = _kernels.walk_steps(indptr, nbrs, cumw, 1, 2, 4000, 21)
     # P(direct step) = 0.9; mean steps should sit well below the unweighted 3.0
     assert 1.0 < steps.mean() < 1.8
+
+
+def ref_walk(g, src, dst, seed, run, cap):
+    """One walk, stepped in Python ints and floats: run r starts from the
+    r-th stream output, draws r01 = (mix >> 11) * 2**-53 per step and moves
+    to the first neighbor whose cumulative weight exceeds r01 * d(u).
+    Returns (steps or -1 if capped, per-node visit counts)."""
+    indptr, nbrs, cumw = (a.tolist() for a in g.csr())
+    state = ref_stream(seed, run + 1)[-1]
+    visits = [0] * g.n
+    u = src
+    steps = 0
+    while u != dst and steps < cap:
+        visits[u] += 1
+        state = (state + GOLD) & M64
+        lo, hi = indptr[u], indptr[u + 1]
+        target = (ref_mix64(state) >> 11) * 2.0**-53 * cumw[hi - 1]
+        u = next((nbrs[e] for e in range(lo, hi) if target < cumw[e]), nbrs[hi - 1])
+        steps += 1
+    return (steps if u == dst else -1), visits
+
+
+def ref_visits(g, src, dst, seed, run_start, runs, cap):
+    sums = np.zeros(g.n)
+    sumsq = np.zeros(g.n)
+    capped = 0
+    for r in range(run_start, run_start + runs):
+        steps, visits = ref_walk(g, src, dst, seed, r, cap)
+        if steps < 0:
+            capped += 1
+            continue
+        v = np.array(visits, np.float64)
+        sums += v
+        sumsq += v * v
+    return sums, sumsq, capped
+
+
+RANDOM12 = random_connected(np.random.default_rng(3), 12, weighted=True)
+WEIGHTED = [
+    Graph(3, [(0, 1, 1.0), (1, 2, 9.0), (0, 2, 0.5)]),
+    # weights spanning 1e-17..1e17; every walk still ends within a few steps
+    Graph(4, [(0, 1, 1e-17), (0, 2, 1.0), (0, 3, 1e-3), (2, 3, 1e17), (1, 3, 1e17)]),
+    # node 0's degree is two subnormal units, so a draw can round up to d(0)
+    # and the pick falls back to the slice's last neighbor
+    Graph(6, [(0, 1, 5e-324), (0, 2, 5e-324), (1, 3, 1.0), (2, 3, 1.0),
+              (3, 4, 1.0), (3, 5, 1.0)]),
+    RANDOM12,
+]
+REF_CASES = [(g, dst, seed, run_start, cap)
+             for g in [path_graph(5), complete_graph(5), *WEIGHTED]
+             for dst, seed, run_start, cap in [(g.n - 1, 7, 0, 10**4),
+                                               (1, 2**64 - 5, 1000, 10**4),
+                                               (g.n - 1, 7, 37, 1)]]
+
+
+@pytest.mark.parametrize("g, dst, seed, run_start, cap", REF_CASES)
+def test_walks_match_reference_walker(g, dst, seed, run_start, cap):
+    runs = 60
+    indptr, nbrs, cumw = g.csr()
+    steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, dst, runs, seed,
+                                run_start=run_start, cap=cap)
+    ref = [ref_walk(g, 0, dst, seed, r, cap)[0]
+           for r in range(run_start, run_start + runs)]
+    assert steps.tolist() == ref
+    sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, dst,
+                                               runs, seed, run_start=run_start, cap=cap)
+    want = ref_visits(g, 0, dst, seed, run_start, runs, cap)
+    assert np.array_equal(sums, want[0]) and np.array_equal(sumsq, want[1])
+    assert capped == want[2]
+
+
+def test_walk_steps_pinned_on_preset():
+    # SHA-256 of the int64 step counts of 1000 walks 0 -> 30 on the preset at
+    # seed 1, as produced by the scalar kernels the lockstep ones replaced
+    indptr, nbrs, cumw = abilene_topology().csr()
+    steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, 30, 1000, 1)
+    assert hashlib.sha256(steps.astype("<i8").tobytes()).hexdigest() == \
+        "8f4a792a305b00227bbf896a3aea8a7ee7ab522de41211be042339bde42b3408"
+
+
+def test_walk_visits_chunk_invariant():
+    g = RANDOM12
+    indptr, nbrs, cumw = g.csr()
+    whole = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 700, 5)
+    a = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 250, 5)
+    b = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 450, 5, run_start=250)
+    assert np.array_equal(whole[0], a[0] + b[0])
+    assert np.array_equal(whole[1], a[1] + b[1])
+    assert whole[2] == a[2] + b[2] == 0
+
+
+def test_walks_independent_of_block_size(monkeypatch):
+    g = RANDOM12
+    indptr, nbrs, cumw = g.csr()
+    steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, 11, 500, 9)
+    visits = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 500, 9)
+    monkeypatch.setattr(_kernels, "RUN_BLOCK", 7)
+    monkeypatch.setattr(_kernels, "VISIT_CELLS", 3 * g.n + 1)
+    assert np.array_equal(_kernels.walk_steps(indptr, nbrs, cumw, 0, 11, 500, 9), steps)
+    blocked = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 500, 9)
+    for got, want in zip(blocked, visits):
+        assert np.array_equal(got, want)
 
 
 class TestTreeScan:
@@ -122,3 +225,10 @@ class TestTreeScan:
         assert (best, best_count, star_sum, star_count) == \
             tuple(int(x) for x in _kernels.tree_scan(n))
         assert best == (n - 1) ** 2 and star_count == n
+
+    def test_independent_of_block_size(self, monkeypatch):
+        # 11 divides none of the sequence counts n**(n-2), so every scan
+        # ends on a partial block
+        want = [_kernels.tree_scan(n) for n in range(3, 8)]
+        monkeypatch.setattr(_kernels, "TREE_BLOCK", 11)
+        assert [_kernels.tree_scan(n) for n in range(3, 8)] == want
