@@ -1,12 +1,12 @@
-"""Laplacian spectrum, pseudo-inverse, Euclidean embedding, and the indices
-derived from them: per-node topological centrality C*(i) = 1/l+_ii and the
-graph-level Kirchhoff index K = Tr(L+).
+"""Laplacian pseudo-inverse and the indices read off it: per-node
+topological centrality C*(i) = 1/l+_ii and the graph-level Kirchhoff index
+K = Tr(L+).
 
-Two independent routes produce L+ and must agree: a full symmetric eigen
-decomposition, and the rank-correction solve (L + J/n)^-1 - J/n, which is
-the default since it needs one dense factorization instead of the whole
-spectrum. The Kirchhoff index here is the plain trace; some of the
-literature scales it by n, so reports record the convention.
+L+ comes from one route, the rank-correction inverse (L + J/n)^-1 - J/n,
+which needs one dense factorization and no spectrum. The eigen route and
+every cross-check between the two live in `lapcent.verify`. The Kirchhoff
+index here is the plain trace; some of the literature scales it by n, so
+reports record the convention.
 """
 
 from __future__ import annotations
@@ -15,94 +15,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, components, DisconnectedError
+from .graph import Graph, require_connected
 
-ROUTE_TOL = 1e-8  # max elementwise disagreement tolerated between L+ routes
 KIRCHHOFF_CONVENTION = "trace"  # K = Tr(L+), no factor n
 
 
 class SpectralBundle:
-    """Eigen data of the combinatorial Laplacian of a connected graph.
+    """The combinatorial Laplacian of a connected graph and its
+    Moore-Penrose pseudo-inverse lplus (symmetric, rows sum to zero)."""
 
-    eigenvalues are sorted descending, so eigenvalues[-1] is the zero mode;
-    eigenvectors[:, k] matches eigenvalues[k]. lplus is the rank-correction
-    pseudo-inverse; lplus_eigen the eigen-route one (they agree to ROUTE_TOL
-    by construction). embedding holds node i's position vector in column i,
-    with embedding.T @ embedding == lplus.
-    """
-
-    def __init__(self, graph, laplacian, eigenvalues, eigenvectors, lplus, lplus_eigen, embedding):
+    def __init__(self, graph, laplacian, lplus):
         self.graph = graph
         self.laplacian = laplacian
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
         self.lplus = lplus
-        self.lplus_eigen = lplus_eigen
-        self.embedding = embedding
 
     @property
     def n(self):
         return self.graph.n
 
 
-def build_spectral(g: Graph, route_tol: float = ROUTE_TOL) -> SpectralBundle:
-    """Build the Laplacian eigen system and both pseudo-inverse routes.
+def build_spectral(g: Graph) -> SpectralBundle:
+    """Build the Laplacian and L+ = sym((L + J/n)^-1 - J/n).
 
     Connectivity is decided by breadth-first search (authoritative); a
-    disconnected graph raises naming the second component. The two L+
-    routes must agree elementwise to route_tol or the build fails.
+    disconnected graph raises naming the second component.
     """
-    comps = components(g)
-    if len(comps) > 1:
-        raise DisconnectedError(
-            f"spectral bundle requires a connected graph; second component: {comps[1]}"
-        )
+    require_connected(g, "spectral bundle")
     n = g.n
     lap = np.diag(g.degrees) - g.adjacency
-    evals_asc, vecs_asc = np.linalg.eigh(lap)
-    evals = evals_asc[::-1].copy()
-    vecs = vecs_asc[:, ::-1].copy()
-    inv = np.zeros(n)
-    if n > 1:
-        inv[: n - 1] = 1.0 / evals[: n - 1]
-    lplus_eigen = (vecs * inv) @ vecs.T
     lplus = np.linalg.inv(lap + 1.0 / n) - 1.0 / n
     lplus = (lplus + lplus.T) / 2.0
-    gap = float(np.max(np.abs(lplus - lplus_eigen)))
-    if gap > route_tol:
-        raise ArithmeticError(
-            f"pseudo-inverse routes disagree: max |diff| = {gap:.3e} > {route_tol:.1e}"
-        )
-    embedding = np.sqrt(inv)[:, None] * vecs.T
-    return SpectralBundle(g, lap, evals, vecs, lplus, lplus_eigen, embedding)
+    return SpectralBundle(g, lap, lplus)
 
 
-def lplus_diag_spectral(b: SpectralBundle) -> np.ndarray:
-    """diag(L+) from the spectral form sum_j u_ji^2 / lambda_j (cross-check)."""
-    n = b.n
-    if n == 1:
-        return np.zeros(1)
-    return (b.eigenvectors[:, : n - 1] ** 2) @ (1.0 / b.eigenvalues[: n - 1])
+def topological_centrality(b: SpectralBundle) -> np.ndarray:
+    """C*(i) = 1 / l+_ii."""
+    return 1.0 / np.diag(b.lplus)
 
 
-def topological_centrality(b: SpectralBundle, check_tol: float = 1e-9) -> np.ndarray:
-    """C*(i) = 1 / l+_ii, after cross-checking the diagonal's spectral form."""
-    diag = np.diag(b.lplus)
-    gap = float(np.max(np.abs(diag - lplus_diag_spectral(b))))
-    if gap > check_tol:
-        raise ArithmeticError(f"spectral-form diagonal cross-check failed: {gap:.3e}")
-    return 1.0 / diag
-
-
-def kirchhoff_index(b: SpectralBundle, check_tol: float = 1e-9):
-    """(K, K*) with K = Tr(L+) cross-checked against sum of 1/lambda."""
-    k_trace = float(np.trace(b.lplus))
-    k_spec = float(np.sum(1.0 / b.eigenvalues[: b.n - 1])) if b.n > 1 else 0.0
-    if abs(k_trace - k_spec) > check_tol:
-        raise ArithmeticError(
-            f"Kirchhoff routes disagree: trace {k_trace!r} vs spectrum {k_spec!r}"
-        )
-    return k_trace, 1.0 / k_trace
+def kirchhoff_index(b: SpectralBundle):
+    """(K, K*) with K = Tr(L+) and K* = 1/K."""
+    k = float(np.trace(b.lplus))
+    return k, 1.0 / k
 
 
 def effective_resistance(b: SpectralBundle, i: int, j: int) -> float:
@@ -130,7 +84,8 @@ def robustness_summary(b: SpectralBundle) -> RobustnessSummary:
 
 
 def spectral_report(b: SpectralBundle) -> dict:
-    """JSON-ready report: per-node diagonal and C*, graph-level spectrum data."""
+    """JSON-ready report: per-node diagonal and C*, graph-level K, K* and the
+    Laplacian spectrum (descending, so the zero mode comes last)."""
     summary = robustness_summary(b)
     diag = np.diag(b.lplus)
     nodes = [
@@ -147,7 +102,7 @@ def spectral_report(b: SpectralBundle) -> dict:
         "graph": {
             "kirchhoff": summary.kirchhoff,
             "kstar": summary.kstar,
-            "eigenvalues": [float(x) for x in b.eigenvalues],
+            "eigenvalues": [float(x) for x in np.linalg.eigvalsh(b.laplacian)[::-1]],
             "kirchhoff_convention": KIRCHHOFF_CONVENTION,
         },
     }

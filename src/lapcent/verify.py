@@ -292,6 +292,27 @@ def check_recurrence_positive(g):
     return min(float(voltages(b, i, j).visits[i]) for i, j in permutations(range(g.n), 2))
 
 
+@dataclass(frozen=True)
+class EigenRoute:
+    """Descending eigenpairs of a Laplacian (eigenvalues[-1] is the zero
+    mode), L+ summed over the nonzero modes, and the embedding whose column
+    i is node i's position vector (embedding.T @ embedding == lplus)."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    lplus: np.ndarray
+    embedding: np.ndarray
+
+
+def eigen_route(lap: np.ndarray) -> EigenRoute:
+    """The eigen route to L+, independent of `build_spectral`'s inverse."""
+    evals_asc, vecs_asc = np.linalg.eigh(lap)
+    evals, vecs = evals_asc[::-1].copy(), vecs_asc[:, ::-1].copy()
+    inv = np.zeros(len(evals))
+    inv[:-1] = 1.0 / evals[:-1]
+    return EigenRoute(evals, vecs, (vecs * inv) @ vecs.T, np.sqrt(inv)[:, None] * vecs.T)
+
+
 @Sweep("spectral-consistency", 100, 2, 12, "scaled to per-identity tolerances; 100 graphs",
        tol=(1e-8, 1e-9, 1e-10, 1e-9),
        gen=lambda rng, n, t: random_connected(rng, n, weighted=t % 3 == 0))
@@ -299,20 +320,23 @@ def check_spectral_consistency(g):
     """Both L+ routes, Moore-Penrose identities, centering, embedding.
 
     Returns (route gap, Moore-Penrose gap, centering gap, embedding gap);
-    the Moore-Penrose gaps are relative to max(1, max|entry|).
+    the Moore-Penrose gaps are relative to max(1, max|entry|). The last
+    also takes the Kirchhoff gap |Tr(L+) - sum 1/lambda|.
     """
-    b = build_spectral(g)  # raises if the two routes disagree
+    b = build_spectral(g)
     lap, lp = b.laplacian, b.lplus
+    eig = eigen_route(lap)
     scale_l = max(1.0, float(np.max(np.abs(lap))))
     scale_p = max(1.0, float(np.max(np.abs(lp))))
     return (
-        float(np.max(np.abs(lp - b.lplus_eigen))),
+        float(np.max(np.abs(lp - eig.lplus))),
         max(float(np.max(np.abs(lap @ lp @ lap - lap))) / scale_l,
             float(np.max(np.abs(lp @ lap @ lp - lp))) / scale_p),
         max(float(np.max(np.abs(lp.sum(axis=0)))),
             float(np.max(np.abs(lp.sum(axis=1))))),
-        max(float(np.max(np.abs(b.embedding.T @ b.embedding - lp))),
-            float(np.max(np.abs(np.sum(b.embedding**2, axis=0) - np.diag(lp))))),
+        max(float(np.max(np.abs(eig.embedding.T @ eig.embedding - lp))),
+            float(np.max(np.abs(np.sum(eig.embedding**2, axis=0) - np.diag(lp)))),
+            abs(float(np.trace(lp)) - float(np.sum(1.0 / eig.eigenvalues[:-1])))),
     )
 
 

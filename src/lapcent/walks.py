@@ -157,13 +157,23 @@ def estimate_hitting_mc(g: Graph, i: int, j: int, runs: int, seed: int,
                         cap: int = STEP_CAP) -> WalkEstimate:
     """Monte Carlo hitting-time estimate with standard error.
 
-    std_error is the sample standard deviation over sqrt(runs); it is 0.0
-    for a single run.
+    Runs are simulated a block at a time and reduced to exact integer sums,
+    so memory does not grow with `runs`. std_error is the sample standard
+    deviation over sqrt(runs); it is 0.0 for a single run.
     """
-    steps = simulate_hitting_steps(g, i, j, runs, seed, cap=cap).astype(np.float64)
-    mean = float(steps.mean())
-    se = float(steps.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
-    return WalkEstimate(mean=mean, std_error=se, runs=runs, seed=seed)
+    if runs < 1:
+        raise GraphError("runs must be >= 1")
+    # a block's int64 sum of squares stays exact while block * cap**2 < 2**63
+    block = max(1, min(_kernels.RUN_BLOCK, (2**63 - 1) // cap**2))
+    total = total_sq = 0
+    for start in range(0, runs, block):
+        steps = simulate_hitting_steps(g, i, j, min(block, runs - start), seed,
+                                       run_start=start, cap=cap)
+        total += int(steps.sum())
+        total_sq += int(steps @ steps)
+    var = (runs * total_sq - total * total) / (runs * (runs - 1)) if runs > 1 else 0.0
+    se = float(np.sqrt(var) / np.sqrt(runs))
+    return WalkEstimate(mean=total / runs, std_error=se, runs=runs, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from lapcent.cli import main
@@ -54,6 +56,19 @@ class TestAnalyze:
         assert run(capsys, "analyze", p3_file, "--json", "-o", str(out1))[0] == 0
         assert run(capsys, "analyze", p3_file, "--json", "-o", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    def test_long_path_is_accepted(self, capsys, tmp_path):
+        # an absolute 1e-8 gap between two L+ routes used to reject this input
+        n = 800
+        path = tmp_path / "p800.el"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        code, out, err = run(capsys, "analyze", str(path), "--json")
+        assert code == 0, err
+        diag = np.array([node["lplus_diag"] for node in json.loads(out)["nodes"]])
+        i = np.arange(n)
+        closed = np.abs(i[:, None] - i[None, :]).sum(axis=1) / n - (n * n - 1) / (6 * n)
+        assert np.max(np.abs(diag - closed) / np.abs(closed)) <= 1e-9
 
 
 class TestCompare:
@@ -187,3 +202,21 @@ class TestExportDot:
     def test_unknown_metric(self, capsys, p3_file):
         code, _, err = run(capsys, "export-dot", p3_file, "--metric", "bogus")
         assert code == 2 and "unknown metric" in err
+
+
+# SHA-256 of stdout on the bundled preset topology.
+PRESET_PINS = {
+    ("compare",): "9dfaf1ba8147eea54b0b1bca7f28daebb87e579e598c4b651938dc8c97167e28",
+    ("analyze", "--csv"): "d7cfb6f51074d621b571420df9b45d4f1386071dde8c3fc14cf72d0513098e04",
+    ("analyze",): "520c067058ec0be08ab0a4c0d87b84d4a0fbf28de74dabcfcf510e049f3fbd3d",
+    ("export-dot",): "7ee1b09f23feb503ac78aaeade2062daaef15619b18562a53cf694f52adc058f",
+}
+
+
+@pytest.mark.parametrize("argv", list(PRESET_PINS), ids=" ".join)
+def test_preset_output_bytes(capsys, tmp_path, argv):
+    preset = tmp_path / "preset.el"
+    assert run(capsys, "gen", "--preset", "abilene", "-o", str(preset))[0] == 0
+    code, out, _ = run(capsys, argv[0], str(preset), *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRESET_PINS[argv]

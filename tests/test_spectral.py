@@ -5,7 +5,7 @@ from lapcent import (DisconnectedError, Graph, build_spectral,
                      effective_resistance, kirchhoff_index, resistance_matrix,
                      robustness_summary, spectral_report,
                      topological_centrality)
-from lapcent.spectral import lplus_diag_spectral
+from lapcent.verify import eigen_route
 
 from helpers import (complete_graph, path_graph, random_connected,
                      star_graph)
@@ -26,7 +26,9 @@ class TestPseudoInverse:
 
     def test_p3_eigenvalues(self):
         b = build_spectral(path_graph(3))
-        assert np.allclose(b.eigenvalues, [3.0, 1.0, 0.0], atol=1e-9)
+        assert np.allclose(eigen_route(b.laplacian).eigenvalues, [3.0, 1.0, 0.0], atol=1e-9)
+        assert np.allclose(spectral_report(b)["graph"]["eigenvalues"], [3.0, 1.0, 0.0],
+                           atol=1e-9)
 
     def test_routes_agree(self):
         rng = np.random.default_rng(5)
@@ -34,7 +36,7 @@ class TestPseudoInverse:
             g = random_connected(rng, int(rng.integers(2, 13)),
                                        weighted=bool(rng.integers(2)))
             b = build_spectral(g)
-            assert np.max(np.abs(b.lplus - b.lplus_eigen)) <= 1e-8
+            assert np.max(np.abs(b.lplus - eigen_route(b.laplacian).lplus)) <= 1e-8
 
     def test_moore_penrose_and_centering(self):
         rng = np.random.default_rng(6)
@@ -52,9 +54,24 @@ class TestPseudoInverse:
         for _ in range(10):
             g = random_connected(rng, 9)
             b = build_spectral(g)
-            assert np.max(np.abs(b.embedding.T @ b.embedding - b.lplus)) <= 1e-9
-            norms = np.sum(b.embedding**2, axis=0)
+            emb = eigen_route(b.laplacian).embedding
+            assert np.max(np.abs(emb.T @ emb - b.lplus)) <= 1e-9
+            norms = np.sum(emb**2, axis=0)
             assert np.allclose(norms, np.diag(b.lplus), atol=1e-9)
+
+    def test_wide_weight_cycle(self):
+        # weights spanning 10^6 put L+ entries near 1e6; the absolute 1e-8
+        # route gap once rejected this graph
+        n = 60
+        w = 10.0 ** np.random.default_rng(0).uniform(-6, 0, n)
+        b = build_spectral(Graph(n, [(i, (i + 1) % n, float(w[i])) for i in range(n)]))
+        # the two arcs between i and j are resistors in parallel
+        r = 1.0 / w
+        pos = np.concatenate([[0.0], np.cumsum(r[:-1])])
+        arc = np.abs(pos[:, None] - pos[None, :])
+        omega = arc * (r.sum() - arc) / r.sum()
+        closed = omega.sum(axis=1) / n - omega.sum() / (2 * n * n)
+        assert np.max(np.abs(np.diag(b.lplus) - closed) / closed) <= 1e-9
 
     def test_disconnected_names_second_component(self):
         with pytest.raises(DisconnectedError, match=r"\[2, 3\]"):
@@ -81,7 +98,10 @@ class TestCentrality:
         for _ in range(10):
             g = random_connected(rng, 10, weighted=True)
             b = build_spectral(g)
-            assert np.max(np.abs(lplus_diag_spectral(b) - np.diag(b.lplus))) <= 1e-9
+            eig = eigen_route(b.laplacian)
+            # diag(L+) = sum_j u_ji^2 / lambda_j over the nonzero modes
+            spectral = (eig.eigenvectors[:, :-1] ** 2) @ (1.0 / eig.eigenvalues[:-1])
+            assert np.max(np.abs(spectral - np.diag(b.lplus))) <= 1e-9
 
 
 class TestKirchhoff:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lapcent import _kernels
 from lapcent import (Graph, StepCapExceeded, approx_commute_dense,
                      approx_hitting_dense, average_detour_overhead,
                      build_spectral, commute_row_sum_identity, detour_overhead,
@@ -187,6 +190,31 @@ class TestMonteCarlo:
         d = est.to_dict()
         assert set(d) == {"mean", "std_error", "runs", "seed"}
         assert d["runs"] == 64 and d["seed"] == 5
+
+    def test_block_sums_match_full_sample(self, monkeypatch):
+        g = cycle_graph(5)
+        for runs, seed in ((2, 3), (500, 11), (1001, 4)):
+            steps = simulate_hitting_steps(g, 0, 2, runs, seed).astype(np.float64)
+            monkeypatch.setattr(_kernels, "RUN_BLOCK", 7)
+            est = estimate_hitting_mc(g, 0, 2, runs, seed)
+            monkeypatch.undo()
+            assert est.mean == steps.mean()
+            se = steps.std(ddof=1) / np.sqrt(runs)
+            assert abs(est.std_error - se) <= 1e-15 * se
+
+    def test_memory_does_not_grow_with_runs(self, monkeypatch):
+        # a full per-run sample of 200k int64 step counts alone is 1.6 MB
+        monkeypatch.setattr(_kernels, "RUN_BLOCK", 1000)
+        g = path_graph(3)
+        estimate_hitting_mc(g, 0, 1, 10, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            est = estimate_hitting_mc(g, 0, 1, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.mean == 1.0
+        assert peak < 1_000_000
 
     def test_bad_args(self):
         with pytest.raises(GraphError):
