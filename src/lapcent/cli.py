@@ -12,7 +12,7 @@ import json
 import sys
 
 from .electrical import export_netlist
-from .graph import Graph, GraphError, format_edge_list, load_edge_list
+from .graph import GraphError, format_edge_list, load_edge_list, require_nodes
 from .spectral import build_spectral, spectral_report
 from .topology import (ABILENE_PRESET, TopologySpec, export_dot, gen_core_gateway,
                        abilene_topology, pert_preset, sensitivity_report)
@@ -69,6 +69,7 @@ def cmd_compare(args) -> int:
 def cmd_hitting(args) -> int:
     g = load_edge_list(args.graph)
     i, j = args.source, args.target
+    require_nodes(g, i, j)
     out = {"source": i, "target": j, "method": args.method}
     if args.method == "exact":
         ht = hitting_times_exact(g)
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, OSError, ArithmeticError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ import numpy as np
 from .graph import Graph, GraphError, is_connected, shortest_path_distances
 
 MAX_ENUM_NODES = 14  # bi-partition enumeration is exponential in n
+CENTER_RTOL = 1e-9  # geodesic totals this close to the minimum tie for tree_center
 
 
 class SizeLimitError(GraphError):
@@ -305,27 +306,14 @@ def tree_centrality(t: Graph) -> np.ndarray:
     return (acc + total_sq) / float(n * n)
 
 
-def tree_center(t: Graph, check_tol: float = 1e-9):
-    """Nodes minimizing total geodesic distance, as a sorted tuple.
+def tree_center(t: Graph):
+    """Nodes minimizing total geodesic distance, as a sorted tuple; totals
+    within a relative CENTER_RTOL of the minimum tie.
 
-    On a tree this set coincides with the argmax of C* because
-    l+_ii = (sum_j SPD(i,j) - Tr(L+)) / n there; the equality is asserted
-    against the spectral route before returning.
+    On a tree l+_ii = (sum_j SPD(i,j) - Tr(L+)) / n, so this set is also
+    the argmax of C* (verify's tree-partition checks that).
     """
     _require_tree(t, "tree_center")
-    from .spectral import build_spectral  # local import to avoid a cycle
-
-    spd = shortest_path_distances(t)
-    totals = spd.sum(axis=1)
-    b = build_spectral(t)
-    diag = np.diag(b.lplus)
-    shift_gap = np.max(np.abs(diag - (totals - np.trace(b.lplus)) / t.n))
-    if shift_gap > check_tol:
-        raise ArithmeticError(
-            f"tree identity l+_ii = (sum_j SPD - Tr)/n failed: {shift_gap:.3e}"
-        )
-    centers = np.flatnonzero(totals <= totals.min() + check_tol)
-    best_c = np.flatnonzero(diag <= diag.min() + check_tol)
-    if set(centers) != set(best_c):
-        raise ArithmeticError("tree center set differs from argmax C* set")
+    totals = shortest_path_distances(t).sum(axis=1)
+    centers = np.flatnonzero(totals <= totals.min() * (1.0 + CENTER_RTOL))
     return tuple(int(x) for x in centers)

@@ -267,6 +267,13 @@ def require_connected(g: Graph, what="operation"):
         )
 
 
+def require_nodes(g: Graph, *ids):
+    """Raise unless every id names a node, 0..n-1 (no negative indexing)."""
+    for x in ids:
+        if not 0 <= x < g.n:
+            raise GraphError(f"node {x} outside 0..{g.n - 1}")
+
+
 def shortest_path_distances(g: Graph) -> np.ndarray:
     """All-pairs geodesic distances.
 

@@ -85,8 +85,12 @@ def robustness_summary(b: SpectralBundle) -> RobustnessSummary:
 
 def spectral_report(b: SpectralBundle) -> dict:
     """JSON-ready report: per-node diagonal and C*, graph-level K, K* and the
-    Laplacian spectrum (descending, so the zero mode comes last)."""
+    Laplacian spectrum (descending, so the zero mode comes last). The graph
+    is connected, so exactly one eigenvalue is zero; it is reported as 0.0
+    rather than as rounding noise of either sign."""
     summary = robustness_summary(b)
+    evals = np.linalg.eigvalsh(b.laplacian)[::-1]
+    evals[-1] = 0.0
     diag = np.diag(b.lplus)
     nodes = [
         {
@@ -102,7 +106,7 @@ def spectral_report(b: SpectralBundle) -> dict:
         "graph": {
             "kirchhoff": summary.kirchhoff,
             "kstar": summary.kstar,
-            "eigenvalues": [float(x) for x in np.linalg.eigvalsh(b.laplacian)[::-1]],
+            "eigenvalues": [float(x) for x in evals],
             "kirchhoff_convention": KIRCHHOFF_CONVENTION,
         },
     }

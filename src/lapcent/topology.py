@@ -214,7 +214,7 @@ def _direction(delta: float) -> str:
 
 def sensitivity_report(before: Graph, after: Graph) -> SensitivityReport:
     """Relative descriptor changes (after - before) / before with direction
-    arrows; the K* delta is cross-checked against the K delta."""
+    arrows."""
     if before.n != after.n:
         raise GraphError(
             f"graphs differ in size ({before.n} vs {after.n} nodes)"
@@ -228,9 +228,6 @@ def sensitivity_report(before: Graph, after: Graph) -> SensitivityReport:
             deltas[key] = 0.0 if new == 0.0 else math.copysign(math.inf, new - base)
         else:
             deltas[key] = (new - base) / base
-    expected_kstar = -deltas["kirchhoff"] * db["kirchhoff"] / da["kirchhoff"]
-    if abs(deltas["kstar"] - expected_kstar) > 1e-9 * max(1.0, abs(deltas["kstar"])):
-        raise ArithmeticError("K* delta inconsistent with K delta")
     directions = {key: _direction(deltas[key]) for key in DESCRIPTOR_KEYS}
     return SensitivityReport(before=db, after=da, deltas=deltas, directions=directions)
 

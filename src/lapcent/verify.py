@@ -22,13 +22,14 @@ import numpy as np
 from . import _kernels
 from .electrical import (current_law_residual, recurrence_overhead,
                          verify_circuit_identities, voltages)
-from .forests import forest_census, lplus_diag_via_forests, tree_center, tree_centrality
+from .forests import (CENTER_RTOL, forest_census, lplus_diag_via_forests, tree_center,
+                      tree_centrality)
 from .graph import Graph, format_edge_list, is_connected, shortest_path_distances
-from .spectral import build_spectral, topological_centrality
+from .spectral import build_spectral, resistance_matrix, topological_centrality
 from .topology import DOWN, FLAT, UP, abilene_topology, pert_preset, sensitivity_report
-from .walks import (commute_row_sum_identity, commute_vs_resistance_gap,
-                    detour_overhead, estimate_hitting_mc, estimate_visits_mc,
-                    hitting_times_exact, kirchhoff_commute_identity,
+from .walks import (average_detour_overhead, commute_row_sum_identity,
+                    commute_vs_resistance_gap, detour_overhead, estimate_hitting_mc,
+                    estimate_visits_mc, hitting_times_exact, kirchhoff_commute_identity,
                     simulate_hitting_steps)
 from .zoo import (centrality_report, max_normalized, randomwalk_betweenness,
                   subgraph_centrality)
@@ -230,12 +231,7 @@ def check_detour_average(g):
     """Average forced-detour overhead through k equals l+_kk."""
     b = build_spectral(g)
     ht = hitting_times_exact(g)
-    H, n = ht.H, g.n
-    res = 0.0
-    for k in range(n):
-        total = n * H[:, k].sum() + n * H[k, :].sum() - H.sum()
-        res = max(res, abs(total / (n * n * ht.vol) - b.lplus[k, k]))
-    return res
+    return max(abs(average_detour_overhead(g, k, ht=ht) - b.lplus[k, k]) for k in range(g.n))
 
 
 @Sweep("commute-resistance", 100, 4, 12, "100 random connected graphs", tol=1e-9)
@@ -343,9 +339,7 @@ def check_spectral_consistency(g):
 @Sweep("resistance-metric", 30, 3, 10, "triangle violations on 30 graphs", tol=1e-9)
 def check_resistance_metric(g):
     """Effective resistance satisfies the triangle inequality."""
-    b = build_spectral(g)
-    d = np.diag(b.lplus)
-    omega = d[:, None] + d[None, :] - 2 * b.lplus
+    omega = resistance_matrix(build_spectral(g))
     return float(np.max(omega[:, :, None] - omega[:, None, :] - omega[None, :, :]))
 
 
@@ -387,21 +381,20 @@ def check_census_disjointness(g):
 
 @Sweep("tree-partition", 100, 3, 12, "100 random trees", tol=1e-9, gen=_tree)
 def check_tree_partition(t):
-    """Tree partition formula matches the spectral diagonal; the most
-    central node is the tree center."""
+    """Tree partition formula matches the spectral diagonal; the argmax-C*
+    set is the tree center set (a miss adds 1.0)."""
     b = build_spectral(t)
     gap = float(np.max(np.abs(tree_centrality(t) - np.diag(b.lplus))))
-    if int(np.argmax(topological_centrality(b))) not in tree_center(t):
-        gap = max(gap, 1.0)
+    cstar = topological_centrality(b)
+    if tuple(np.flatnonzero(cstar >= cstar.max() * (1.0 - CENTER_RTOL))) != tree_center(t):
+        gap += 1.0
     return gap
 
 
 @Sweep("tree-spd-resistance", 50, 2, 12, "50 random trees", tol=1e-9, gen=_tree)
 def check_tree_spd_resistance(t):
     """On trees geodesic distance equals effective resistance."""
-    b = build_spectral(t)
-    d = np.diag(b.lplus)
-    omega = d[:, None] + d[None, :] - 2 * b.lplus
+    omega = resistance_matrix(build_spectral(t))
     return float(np.max(np.abs(shortest_path_distances(t) - omega)))
 
 
@@ -645,7 +638,8 @@ TABLE1_EXPECT = {
 @register("sensitivity-directions")
 def check_sensitivity_directions(cfg: VerifyConfig) -> CheckResult:
     """Direction arrows of the two rewiring presets on the bundled preset
-    topology, plus exact Randic invariance for the second."""
+    topology, exact Randic invariance for the second, and each K* delta
+    consistent with its K delta."""
     g0 = abilene_topology()
     g1 = pert_preset(g0, "pert1")
     g2 = pert_preset(g1, "pert2")
@@ -661,6 +655,12 @@ def check_sensitivity_directions(cfg: VerifyConfig) -> CheckResult:
     self_rep = sensitivity_report(g0, g0)
     if any(v != FLAT for v in self_rep.directions.values()):
         problems.append("self-comparison must be all flat")
+    for which, rep in (("pert1", rep1), ("pert2", rep2), ("self", self_rep)):
+        # K* = 1/K, so dK* = -dK * K_before / K_after
+        d = rep.deltas
+        expected = -d["kirchhoff"] * rep.before["kirchhoff"] / rep.after["kirchhoff"]
+        if abs(d["kstar"] - expected) > 1e-9 * max(1.0, abs(d["kstar"])):
+            problems.append(f"{which}: K* delta inconsistent with K delta")
     detail = ("; ".join(problems) if problems else
               f"dK*={rep1.deltas['kstar']:+.4f}/{rep2.deltas['kstar']:+.4f}, "
               f"dR1={rep1.deltas['randic']:+.4f}/{rep2.deltas['randic']:+.4f}")

@@ -110,6 +110,16 @@ class TestHitting:
                         "--method", "approx", "--convention", "target-degree")
         assert json.loads(out)["hitting"] == pytest.approx(4.0)  # Vol/d(0)
 
+    @pytest.mark.parametrize("method", ["exact", "approx", "mc"])
+    def test_out_of_range_ids_exit_2(self, capsys, p3_file, method):
+        # -1 used to index from the end; n raised IndexError or walked
+        # until the step cap
+        for i, j in (("-1", "0"), ("0", "3")):
+            code, out, err = run(capsys, "hitting", p3_file, "-i", i, "-j", j,
+                                 "--method", method, "--runs", "10")
+            assert code == 2 and out == ""
+            assert "outside 0..2" in err
+
 
 class TestEen:
     def test_export(self, capsys, p3_file):
@@ -213,10 +223,59 @@ PRESET_PINS = {
 }
 
 
+# SHA-256 of `sensitivity` stdout between the preset and its rewirings.
+SENSITIVITY_PINS = {
+    ("preset", "pert1"): "f540a6d71c07ae0aa91c6e65fc9530144b71b28a3c65da7fbb16a29c9ea8ae44",
+    ("pert1", "pert2", "--json"): "8d95e648c938b0be6e960705ebeb6844026ae80be19d82f25553785438fd1643",
+}
+
+# SHA-256 of `verify --seed 42` stdout.
+VERIFY_SEED_42_PIN = "2fdbb95f83f59970232dab1860aeaf7f76c6a597afc7c65ccb4a1f10e86d6c09"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture()
+def preset_files(capsys, tmp_path):
+    """Paths of the preset and its pert1 and pert1-then-pert2 rewirings."""
+    paths = {name: str(tmp_path / f"{name}.el") for name in ("preset", "pert1", "pert2")}
+    assert run(capsys, "gen", "--preset", "abilene", "-o", paths["preset"])[0] == 0
+    assert run(capsys, "perturb", paths["preset"], "--preset", "pert1",
+               "-o", paths["pert1"])[0] == 0
+    assert run(capsys, "perturb", paths["pert1"], "--preset", "pert2",
+               "-o", paths["pert2"])[0] == 0
+    return paths
+
+
 @pytest.mark.parametrize("argv", list(PRESET_PINS), ids=" ".join)
-def test_preset_output_bytes(capsys, tmp_path, argv):
-    preset = tmp_path / "preset.el"
-    assert run(capsys, "gen", "--preset", "abilene", "-o", str(preset))[0] == 0
-    code, out, _ = run(capsys, argv[0], str(preset), *argv[1:])
+def test_preset_output_bytes(capsys, preset_files, argv):
+    code, out, _ = run(capsys, argv[0], preset_files["preset"], *argv[1:])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PRESET_PINS[argv]
+    assert sha256(out) == PRESET_PINS[argv]
+
+
+@pytest.mark.parametrize("argv", list(SENSITIVITY_PINS), ids=" ".join)
+def test_sensitivity_output_bytes(capsys, preset_files, argv):
+    before, after, *flags = argv
+    code, out, _ = run(capsys, "sensitivity", preset_files[before], preset_files[after], *flags)
+    assert code == 0
+    assert sha256(out) == SENSITIVITY_PINS[argv]
+
+
+def test_preset_zero_mode_is_exact(capsys, preset_files):
+    # the connected preset has one zero eigenvalue; LAPACK returns it as
+    # noise of either sign (-6.06e-15)
+    code, out, _ = run(capsys, "analyze", preset_files["preset"], "--json")
+    assert code == 0
+    evals = json.loads(out)["graph"]["eigenvalues"]
+    assert len(evals) == 65
+    assert evals[-1] == 0.0 and '"eigenvalues"' in out and "-0.0" not in out
+    assert min(evals[:-1]) > 1e-3
+
+
+def test_verify_output_bytes(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == 0
+    assert sha256(out) == VERIFY_SEED_42_PIN

@@ -195,6 +195,23 @@ class TestTreeCenter:
         assert tree_center(path_graph(4)) == (1, 2)
         assert tree_center(star_graph(4)) == (0,)
 
+    def test_long_path(self):
+        # an absolute 1e-9 bound on l+_ii = (sum_j SPD - Tr)/n, off by 4.9e-9
+        # here, once rejected this tree
+        assert tree_center(path_graph(1000)) == (499, 500)
+
+    def test_weighted_center_is_argmax_set(self):
+        # a 15/15 split ties two centers; l+_ii up to 6e3 once failed an
+        # absolute 1e-9 bound on the shift identity
+        rng = np.random.default_rng(2)
+        t = random_tree(rng, 30)
+        w = 10.0 ** rng.uniform(-4, 0, t.m)
+        g = Graph(30, [(u, v, float(x)) for (u, v, _), x in zip(t.edges, w)])
+        cstar = topological_centrality(build_spectral(g))
+        argmax = tuple(np.flatnonzero(cstar >= cstar.max() * (1 - 1e-9)))
+        assert len(argmax) == 2
+        assert tree_center(g) == argmax
+
     def test_center_is_centrality_argmax(self):
         rng = np.random.default_rng(9)
         for _ in range(15):

@@ -7,8 +7,8 @@ from lapcent import _kernels
 from lapcent import (Graph, StepCapExceeded, approx_commute_dense,
                      approx_hitting_dense, average_detour_overhead,
                      build_spectral, commute_row_sum_identity, detour_overhead,
-                     estimate_hitting_mc, hitting_times_exact,
-                     kirchhoff_commute_identity)
+                     estimate_hitting_mc, estimate_visits_mc,
+                     hitting_times_exact, kirchhoff_commute_identity)
 from lapcent.graph import DisconnectedError, GraphError
 from lapcent.walks import commute_vs_resistance_gap, simulate_hitting_steps
 
@@ -87,22 +87,25 @@ class TestDetourOverhead:
                     assert detour_overhead(ht, i, k, j) == pytest.approx(
                         detour_overhead(ht, j, k, i), abs=1e-9)
 
+    def test_long_path_midpoint(self):
+        # the hit and commute forms differ by 1.2e-9 here; an absolute 1e-9
+        # bound between them once rejected this call
+        ht = hitting_times_exact(path_graph(200))
+        assert abs(detour_overhead(ht, 0, 100, 199)) <= 1e-9 * ht.H.max()
+
 
 class TestAverageDetour:
     def test_p3_center(self):
         g = path_graph(3)
-        assert average_detour_overhead(g, build_spectral(g), 1) \
-            == pytest.approx(2 / 9, abs=1e-12)
+        assert average_detour_overhead(g, 1) == pytest.approx(2 / 9, abs=1e-12)
 
     def test_k3(self):
         g = complete_graph(3)
-        assert average_detour_overhead(g, build_spectral(g), 0) \
-            == pytest.approx(2 / 9, abs=1e-12)
+        assert average_detour_overhead(g, 0) == pytest.approx(2 / 9, abs=1e-12)
 
     def test_star4_hub(self):
         g = star_graph(4)
-        assert average_detour_overhead(g, build_spectral(g), 0) \
-            == pytest.approx(3 / 16, abs=1e-12)
+        assert average_detour_overhead(g, 0) == pytest.approx(3 / 16, abs=1e-12)
 
     def test_equals_lplus_diagonal_everywhere(self):
         rng = np.random.default_rng(3)
@@ -111,8 +114,19 @@ class TestAverageDetour:
             b = build_spectral(g)
             ht = hitting_times_exact(g)
             for k in range(g.n):
-                val = average_detour_overhead(g, b, k, ht=ht)
+                val = average_detour_overhead(g, k, ht=ht)
                 assert val == pytest.approx(b.lplus[k, k], abs=1e-9)
+
+    def test_wide_weight_cycle(self):
+        # L+ entries near 6e5: a 4.3e-10 relative gap once failed an
+        # absolute 1e-9 bound against l+_kk
+        n = 60
+        w = 10.0 ** np.random.default_rng(0).uniform(-6, 0, n)
+        g = Graph(n, [(i, (i + 1) % n, float(w[i])) for i in range(n)])
+        diag = np.diag(build_spectral(g).lplus)
+        ht = hitting_times_exact(g)
+        avg = np.array([average_detour_overhead(g, k, ht=ht) for k in range(n)])
+        assert np.max(np.abs(avg - diag) / diag) <= 1e-8
 
 
 class TestCommuteIdentities:
@@ -217,10 +231,16 @@ class TestMonteCarlo:
         assert peak < 1_000_000
 
     def test_bad_args(self):
-        with pytest.raises(GraphError):
-            estimate_hitting_mc(path_graph(3), 1, 1, 10, seed=0)
-        with pytest.raises(GraphError):
-            estimate_hitting_mc(path_graph(3), 0, 1, 0, seed=0)
+        g = path_graph(3)
+        for i, j, runs in ((1, 1, 10), (0, 1, 0), (-1, 0, 10), (0, 3, 10)):
+            with pytest.raises(GraphError):
+                estimate_hitting_mc(g, i, j, runs, seed=0)
+            with pytest.raises(GraphError):
+                simulate_hitting_steps(g, i, j, runs, seed=0)
+            with pytest.raises(GraphError):
+                estimate_visits_mc(g, i, j, runs, seed=0)
+        with pytest.raises(DisconnectedError):
+            estimate_visits_mc(Graph(4, [(0, 1), (2, 3)]), 0, 1, 10, seed=0)
 
 
 class TestDenseApproximation:
