@@ -7,7 +7,6 @@ graphs (all weights 1.0) fall back to plain hop counts.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 
 import numpy as np
@@ -275,57 +274,20 @@ def require_nodes(g: Graph, *ids):
 
 
 def shortest_path_distances(g: Graph) -> np.ndarray:
-    """All-pairs geodesic distances.
+    """All-pairs geodesic distances by Floyd-Warshall, O(n^3).
 
     Hop counts for unweighted graphs; weighted edges contribute length 1/w
-    (weights are affinities). Raises on disconnected input.
+    (weights are affinities). Each of the n relaxations through a pivot k
+    is one whole-matrix numpy pass. Raises on disconnected input.
     """
     require_connected(g, "shortest_path_distances")
-    n = g.n
-    indptr, nbrs, cumw = g.csr()
-    dist = np.full((n, n), np.inf)
-    if g.unweighted:
-        for s in range(n):
-            row = dist[s]
-            row[s] = 0.0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                du = row[u]
-                for e in range(indptr[u], indptr[u + 1]):
-                    v = int(nbrs[e])
-                    if np.isinf(row[v]):
-                        row[v] = du + 1.0
-                        queue.append(v)
-    else:
-        lengths = _edge_lengths(g)
-        for s in range(n):
-            row = dist[s]
-            row[s] = 0.0
-            heap = [(0.0, s)]
-            while heap:
-                du, u = heapq.heappop(heap)
-                if du > row[u]:
-                    continue
-                for e in range(indptr[u], indptr[u + 1]):
-                    v = int(nbrs[e])
-                    alt = du + lengths[e]
-                    if alt < row[v]:
-                        row[v] = alt
-                        heapq.heappush(heap, (alt, v))
+    a = g.adjacency
+    with np.errstate(divide="ignore"):
+        dist = np.where(a > 0, 1.0 / a, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(g.n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     return dist
-
-
-def _edge_lengths(g: Graph):
-    """Per-CSR-entry geodesic lengths 1/w."""
-    indptr, _, cumw = g.csr()
-    w = np.empty_like(cumw)
-    for u in range(g.n):
-        lo, hi = indptr[u], indptr[u + 1]
-        if hi > lo:
-            w[lo] = cumw[lo]
-            w[lo + 1 : hi] = np.diff(cumw[lo:hi])
-    return 1.0 / w
 
 
 def diameter(g: Graph) -> float:

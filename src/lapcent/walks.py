@@ -213,6 +213,7 @@ def approx_hitting_dense(g: Graph, i: int, j: int, convention: str = "source-deg
     """
     if convention not in CONVENTIONS:
         raise GraphError(f"convention must be one of {CONVENTIONS}")
+    require_nodes(g, i, j)
     d = g.degrees
     denom = d[i] if convention == "source-degree" else d[j]
     return float(g.volume / denom)
@@ -220,5 +221,6 @@ def approx_hitting_dense(g: Graph, i: int, j: int, convention: str = "source-deg
 
 def approx_commute_dense(g: Graph, i: int, j: int) -> float:
     """Symmetric companion estimate Vol(G) (1/d(i) + 1/d(j))."""
+    require_nodes(g, i, j)
     d = g.degrees
     return float(g.volume * (1.0 / d[i] + 1.0 / d[j]))

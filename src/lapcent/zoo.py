@@ -10,6 +10,12 @@ Conventions held fixed across the toolkit:
     containing v, half the sum of absolute currents on v's incident edges
     under unit (s, t) injection;
   - weighted graphs use 1/w geodesic lengths and the weighted adjacency.
+
+Algorithms: SPD is Floyd-Warshall (graph.shortest_path_distances, O(n^3));
+betweenness is Brandes' (2001) dependency accumulation by hop layers of the
+shortest-path DAGs of a block of sources at once; current flow sums sorted
+edge potentials (Brandes & Fleischer 2005), O(m n log n) once L+ is known.
+A block holds at most BLOCK_CELLS array cells, so memory stays O(n^2).
 """
 
 from __future__ import annotations
@@ -18,53 +24,74 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError, shortest_path_distances
+from .graph import Graph, shortest_path_distances
 from .spectral import (SpectralBundle, build_spectral, kirchhoff_index,
                        topological_centrality)
 
 GEO_TIE_TOL = 1e-12  # relative slack when comparing weighted geodesic lengths
+BLOCK_CELLS = 2**20  # array cells per block of sources (gb) or of edges (rb)
 
 
-def geodesic_closeness(g: Graph) -> np.ndarray:
-    spd = shortest_path_distances(g)
+def _edge_arrays(g: Graph):
+    """Endpoints and weights of the edges as arrays (u, v, w)."""
+    cols = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
+    return cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64), cols[:, 2]
+
+
+def geodesic_closeness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
+    """(n-1) / sum_j SPD(i,j). Pass `spd`, shortest_path_distances(g), when
+    the caller already holds it."""
+    if spd is None:
+        spd = shortest_path_distances(g)
     return (g.n - 1) / spd.sum(axis=1)
 
 
-def _geodesic_sigma(g: Graph, spd: np.ndarray):
-    """Shortest-path counts sigma[s, t] for all pairs.
+def geodesic_betweenness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
+    """Freeman betweenness: sum over pairs s < t of sigma_st(v)/sigma_st.
 
-    Counts accumulate along nondecreasing distance from each source;
-    weighted ties compare with a small relative tolerance.
+    Brandes' dependency accumulation for a block of sources at once.
+    Directed edge u->v lies on a shortest path from s when
+    spd[s,u] + 1/w = spd[s,v] within a small relative tolerance. Path counts
+    sigma grow one hop layer of every source's shortest-path DAG per pass;
+    the backward passes push 1/sigma the other way, so that sigma times
+    their sum is the dependency of s on each node. `spd` as in
+    geodesic_closeness.
     """
+    if spd is None:
+        spd = shortest_path_distances(g)
     n = g.n
-    a = g.adjacency
-    with np.errstate(divide="ignore"):
-        lengths = np.where(a > 0, 1.0 / a, np.inf)
+    eu, ev, ew = _edge_arrays(g)
+    tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+    lengths = 1.0 / np.concatenate([ew, ew])
     tol = GEO_TIE_TOL * (1.0 + spd.max())
-    sigma = np.zeros((n, n))
-    for s in range(n):
-        order = np.argsort(spd[s], kind="stable")
-        sigma[s, s] = 1.0
-        for t in order[1:]:
-            on_path = np.abs(spd[s] + lengths[:, t] - spd[s, t]) <= tol
-            sigma[s, t] = sigma[s, on_path].sum()
-    return sigma
-
-
-def geodesic_betweenness(g: Graph) -> np.ndarray:
-    """Freeman betweenness: sum over pairs s < t of sigma_st(v)/sigma_st."""
-    spd = shortest_path_distances(g)
-    sigma = _geodesic_sigma(g, spd)
-    tol = GEO_TIE_TOL * (1.0 + spd.max())
-    n = g.n
     gb = np.zeros(n)
-    for s in range(n):
-        for t in range(s + 1, n):
-            interior = np.abs(spd[s] + spd[:, t] - spd[s, t]) <= tol
-            interior[s] = interior[t] = False
-            if interior.any():
-                gb[interior] += sigma[s, interior] * sigma[interior, t] / sigma[s, t]
-    return gb
+    block = max(1, BLOCK_CELLS // max(1, tails.size))
+    for lo in range(0, n, block):
+        d = spd[lo : lo + block]
+        src = np.arange(lo, lo + len(d))
+        rows, e = np.nonzero(np.abs(d[:, tails] + lengths - d[:, heads]) <= tol)
+        # flat (source, node) indices of each DAG edge's ends
+        tail, head = rows * n + tails[e], rows * n + heads[e]
+        cells = src.size * n
+        sigma = np.zeros(cells)
+        sigma[np.arange(src.size) * n + src] = 1.0
+        layer, z = sigma.copy(), np.zeros(cells)
+        # a shortest path has at most n - 1 hops
+        for _ in range(n - 1):
+            layer = np.bincount(head, weights=layer[tail], minlength=cells)
+            if not layer.any():
+                break
+            sigma += layer
+        layer = 1.0 / sigma
+        for _ in range(n - 1):
+            layer = np.bincount(tail, weights=layer[head], minlength=cells)
+            if not layer.any():
+                break
+            z += layer
+        delta = (sigma * z).reshape(src.size, n)
+        delta[np.arange(src.size), src] = 0.0
+        gb += delta.sum(axis=0)
+    return gb / 2.0
 
 
 def subgraph_centrality(g: Graph) -> np.ndarray:
@@ -74,28 +101,33 @@ def subgraph_centrality(g: Graph) -> np.ndarray:
 
 
 def randomwalk_betweenness(g: Graph, b: SpectralBundle | None = None) -> np.ndarray:
-    """Current-flow betweenness from pseudo-inverse voltages."""
+    """Current-flow betweenness from pseudo-inverse voltages.
+
+    A unit s->t injection drives x[s] - x[t] through edge (u, v), where
+    x = w (L+[u] - L+[v]) (Brandes & Fleischer 2005). A row sort turns each
+    edge's sum over all pairs into one dot product; each endpoint then drops
+    the pairs it terminates. A degree-1 node that is not a terminal carries
+    no current, so its value is exactly 0.
+    """
     if b is None:
         b = build_spectral(g)
     n = g.n
     if n < 3:
         return np.zeros(n)
-    edges = g.edges
-    eu = np.array([e[0] for e in edges])
-    ev = np.array([e[1] for e in edges])
-    ew = np.array([e[2] for e in edges])
-    rb = np.zeros(n)
-    for s in range(n):
-        for t in range(s + 1, n):
-            v = b.lplus[:, s] - b.lplus[:, t]
-            cur = np.abs(ew * (v[eu] - v[ev]))
-            through = np.zeros(n)
-            np.add.at(through, eu, cur)
-            np.add.at(through, ev, cur)
-            through /= 2.0
-            through[s] = through[t] = 0.0
-            rb += through
-    return rb / ((n - 1) * (n - 2) / 2.0)
+    eu, ev, ew = _edge_arrays(g)
+    rank_coef = 2.0 * np.arange(n) - n + 1  # sum_{s<t} |x_s - x_t| = sort(x) @ rank_coef
+    through = np.zeros(n)
+    block = max(1, BLOCK_CELLS // n)
+    for lo in range(0, g.m, block):
+        u, v, w = eu[lo : lo + block], ev[lo : lo + block], ew[lo : lo + block]
+        x = w[:, None] * (b.lplus[u] - b.lplus[v])
+        total = np.sort(x, axis=1) @ rank_coef
+        rows = np.arange(u.size)
+        for end in (u, v):
+            own = np.abs(x - x[rows, end][:, None]).sum(axis=1)
+            through += np.bincount(end, weights=total - own, minlength=n)
+    through[np.bincount(np.concatenate([eu, ev]), minlength=n) == 1] = 0.0
+    return through / 2.0 / ((n - 1) * (n - 2) / 2.0)
 
 
 def randic_index(g: Graph) -> float:
@@ -152,15 +184,15 @@ def centrality_report(g: Graph, b: SpectralBundle | None = None) -> CentralityRe
     if b is None:
         b = build_spectral(g)
     k, kstar = kirchhoff_index(b)
+    spd = shortest_path_distances(g)
     return CentralityReport(
         degree=g.degrees.copy(),
-        gc=geodesic_closeness(g),
+        gc=geodesic_closeness(g, spd),
         sc=subgraph_centrality(g),
-        gb=geodesic_betweenness(g),
+        gb=geodesic_betweenness(g, spd),
         rb=randomwalk_betweenness(g, b),
         cstar=topological_centrality(b),
         kirchhoff=k,
         kstar=kstar,
         randic=randic_index(g),
     )
-

@@ -216,7 +216,7 @@ class TestExportDot:
 
 # SHA-256 of stdout on the bundled preset topology.
 PRESET_PINS = {
-    ("compare",): "9dfaf1ba8147eea54b0b1bca7f28daebb87e579e598c4b651938dc8c97167e28",
+    ("compare",): "3d86e1b0f615160e97896190061b9b670c130bf4077e194d3b4a2d48c91800d1",
     ("analyze", "--csv"): "d7cfb6f51074d621b571420df9b45d4f1386071dde8c3fc14cf72d0513098e04",
     ("analyze",): "520c067058ec0be08ab0a4c0d87b84d4a0fbf28de74dabcfcf510e049f3fbd3d",
     ("export-dot",): "7ee1b09f23feb503ac78aaeade2062daaef15619b18562a53cf694f52adc058f",
@@ -226,11 +226,11 @@ PRESET_PINS = {
 # SHA-256 of `sensitivity` stdout between the preset and its rewirings.
 SENSITIVITY_PINS = {
     ("preset", "pert1"): "f540a6d71c07ae0aa91c6e65fc9530144b71b28a3c65da7fbb16a29c9ea8ae44",
-    ("pert1", "pert2", "--json"): "8d95e648c938b0be6e960705ebeb6844026ae80be19d82f25553785438fd1643",
+    ("pert1", "pert2", "--json"): "1f52aa279454865a1a96e6a3db187b37d7c4cbc197d785dfa209920c02f15383",
 }
 
 # SHA-256 of `verify --seed 42` stdout.
-VERIFY_SEED_42_PIN = "2fdbb95f83f59970232dab1860aeaf7f76c6a597afc7c65ccb4a1f10e86d6c09"
+VERIFY_SEED_42_PIN = "05a051775ccc41b166c1af92ea70b61ee965ed9b3fc03054e5d12430e22614b3"
 
 
 def sha256(text):

@@ -1,6 +1,7 @@
 """networkx as an outside oracle: it shares no code with lapcent, so each
-index is checked against an independent implementation on the bundled preset
-and on seeded random graphs, weighted and unweighted.
+index is checked against an independent implementation on the bundled preset,
+on small seeded random graphs, weighted and unweighted, and on sparse seeded
+graphs of realistic size.
 
 Weights are affinities in lapcent, so networkx gets them as conductances
 (`weight`) and as geodesic lengths 1/w (`length`).
@@ -10,7 +11,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from lapcent import abilene_topology, centrality_report
+from lapcent import Graph, abilene_topology, centrality_report
 
 from helpers import random_connected
 
@@ -54,3 +55,41 @@ def test_indices_match_networkx(name, g, weighted):
         assert np.max(np.abs(rep.sc - sc) / sc) <= 1e-9
     resistance = nx.effective_graph_resistance(G, weight="weight", invert_weight=False)
     assert abs(rep.kirchhoff - resistance / g.n) <= 1e-9 * rep.kirchhoff
+
+
+def _ring_chords(rng, n, weights):
+    """Ring plus 2n random chords (m = 3n), weights drawn by `weights`."""
+    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    while len(pairs) < 3 * n:
+        u, v = sorted(rng.choice(n, 2, replace=False).tolist())
+        pairs.add((u, v))
+    pairs = sorted(pairs)
+    return Graph(n, [(u, v, w) for (u, v), w in zip(pairs, weights(rng, len(pairs)))])
+
+
+LARGE = [
+    ("weighted-150", 150, lambda rng, m: rng.uniform(0.2, 3.0, m), True),
+    ("unweighted-200", 200, lambda rng, m: np.ones(m), False),
+    ("wide-weights-120", 120, lambda rng, m: 10.0 ** rng.uniform(-6.0, 0.0, m), True),
+]
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, n, weights, weighted", LARGE, ids=[c[0] for c in LARGE])
+def test_realistic_sizes_match_networkx(name, n, weights, weighted):
+    # relative to the largest entry: an entrywise ratio would divide by values near 0
+    g = _ring_chords(np.random.default_rng(n), n, weights)
+    G = _to_nx(g)
+    rep = centrality_report(g)
+    length = "length" if weighted else None
+    rb = _array(nx.current_flow_betweenness_centrality(G, weight="weight"), n)
+    assert _rel(rep.rb, rb) <= 1e-10
+    gb = _array(nx.betweenness_centrality(G, normalized=False, weight=length), n)
+    assert _rel(rep.gb, gb) <= 1e-10
+    gc = _array(nx.closeness_centrality(G, distance=length), n)
+    assert _rel(rep.gc, gc) <= 1e-10
+    resistance = nx.effective_graph_resistance(G, weight="weight", invert_weight=False)
+    assert abs(rep.kirchhoff - resistance / n) <= 1e-10 * rep.kirchhoff

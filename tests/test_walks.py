@@ -267,3 +267,13 @@ class TestDenseApproximation:
             == pytest.approx(6.0)
         with pytest.raises(GraphError):
             approx_hitting_dense(g, 0, 1, convention="typo")
+
+    @pytest.mark.parametrize("i, j", [(-1, 1), (0, -1), (3, 1), (0, 3)])
+    def test_out_of_range_ids_raise(self, i, j):
+        # a negative id used to index degrees from the end: node n-1
+        g = path_graph(3)
+        for convention in ("source-degree", "target-degree"):
+            with pytest.raises(GraphError, match="outside 0..2"):
+                approx_hitting_dense(g, i, j, convention=convention)
+        with pytest.raises(GraphError, match="outside 0..2"):
+            approx_commute_dense(g, i, j)

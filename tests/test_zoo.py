@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lapcent import (Graph, build_spectral, centrality_report,
+from lapcent import (Graph, abilene_topology, build_spectral, centrality_report,
                      geodesic_betweenness, geodesic_closeness, max_normalized,
                      randic_index, randomwalk_betweenness,
                      subgraph_centrality)
+from lapcent import zoo
 from lapcent.verify import randomwalk_betweenness_by_solves
 
 from helpers import (complete_graph, cycle_graph, path_graph,
@@ -94,6 +95,51 @@ class TestRandomWalkBetweenness:
             gap = np.max(np.abs(randomwalk_betweenness(g)
                                 - randomwalk_betweenness_by_solves(g)))
             assert gap <= 1e-9
+
+    def test_preset_leaves_are_exactly_zero(self):
+        # a degree-1 node that is not a terminal carries no current; the
+        # potential differences used to leave noise such as 9.46e-17
+        g = abilene_topology()
+        rb = randomwalk_betweenness(g)
+        leaves = np.bincount(np.ravel([e[:2] for e in g.edges]), minlength=g.n) == 1
+        assert leaves.sum() == 47
+        assert (rb[leaves] == 0.0).all()
+        assert (rb[~leaves] > 1e-3).all()
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestBlocks:
+    """gb works in blocks of sources and rb in blocks of edges; the split
+    must not change the result beyond summation order."""
+
+    @pytest.mark.parametrize("name", ["preset", "weighted-40"])
+    def test_uneven_blocks_agree(self, monkeypatch, name):
+        if name == "preset":
+            g = abilene_topology()
+        else:
+            g = random_connected(np.random.default_rng(40), 40, p=0.12, weighted=True)
+        gb, rb = geodesic_betweenness(g), randomwalk_betweenness(g)
+        cells = 7 * (2 * g.m) + 1  # 7 sources, cells // n edges per block
+        assert g.n % 7 and g.m % (cells // g.n)
+        monkeypatch.setattr(zoo, "BLOCK_CELLS", cells)
+        assert _rel(geodesic_betweenness(g), gb) <= 1e-14
+        assert _rel(randomwalk_betweenness(g), rb) <= 1e-14
+
+    @pytest.mark.parametrize("cells", [1, 2**20])
+    @pytest.mark.parametrize("g, gb, rb", [
+        (path_graph(2), [0, 0], [0, 0]),
+        (path_graph(3), [0, 1, 0], [0, 1, 0]),
+        (star_graph(5), [6, 0, 0, 0, 0], [1, 0, 0, 0, 0]),
+    ], ids=["P2", "P3", "star5"])
+    def test_small_graphs(self, monkeypatch, cells, g, gb, rb):
+        monkeypatch.setattr(zoo, "BLOCK_CELLS", cells)
+        assert np.allclose(geodesic_betweenness(g), gb, rtol=0, atol=1e-12)
+        got = randomwalk_betweenness(g)
+        assert np.allclose(got, rb, rtol=0, atol=1e-12)
+        assert (got[np.array(rb) == 0] == 0.0).all()
 
 
 class TestRandic:
