@@ -20,6 +20,12 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def rel_gap(got, want):
+    """Largest entrywise gap relative to the largest |want| entry, so that
+    entries at or near 0 do not blow the ratio up."""
+    return np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want))
+
+
 # -- brute-force oracles ------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from lapcent import zoo
 from lapcent.verify import randomwalk_betweenness_by_solves
 
 from helpers import (complete_graph, cycle_graph, path_graph,
-                     random_connected, star_graph)
+                     random_connected, rel_gap, star_graph)
 
 
 class TestGeodesicCloseness:
@@ -107,10 +107,6 @@ class TestRandomWalkBetweenness:
         assert (rb[~leaves] > 1e-3).all()
 
 
-def _rel(got, want):
-    return np.max(np.abs(got - want)) / np.max(np.abs(want))
-
-
 class TestBlocks:
     """gb works in blocks of sources and rb in blocks of edges; the split
     must not change the result beyond summation order."""
@@ -125,8 +121,8 @@ class TestBlocks:
         cells = 7 * (2 * g.m) + 1  # 7 sources, cells // n edges per block
         assert g.n % 7 and g.m % (cells // g.n)
         monkeypatch.setattr(zoo, "BLOCK_CELLS", cells)
-        assert _rel(geodesic_betweenness(g), gb) <= 1e-14
-        assert _rel(randomwalk_betweenness(g), rb) <= 1e-14
+        assert rel_gap(geodesic_betweenness(g), gb) <= 1e-14
+        assert rel_gap(randomwalk_betweenness(g), rb) <= 1e-14
 
     @pytest.mark.parametrize("cells", [1, 2**20])
     @pytest.mark.parametrize("g, gb, rb", [
