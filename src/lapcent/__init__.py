@@ -14,15 +14,14 @@ from .spectral import (SpectralBundle, build_spectral, effective_resistance,
                        spectral_report, topological_centrality)
 from .walks import (HittingTable, StepCapExceeded, WalkEstimate,
                     approx_commute_dense, approx_hitting_dense,
-                    average_detour_overhead, commute_row_sum_identity,
-                    detour_overhead, estimate_hitting_mc, estimate_visits_mc,
-                    hitting_times_exact, kirchhoff_commute_identity)
-from .electrical import (VoltageProfile, current_law_residual, export_netlist,
-                         recurrence_overhead, verify_circuit_identities,
+                    average_detour_overhead, detour_overhead,
+                    estimate_hitting_mc, estimate_visits_mc,
+                    hitting_times_exact)
+from .electrical import (VoltageProfile, export_netlist, recurrence_overhead,
                          voltages)
 from .forests import (BiPartition, ForestCensus, NotATreeError, SizeLimitError,
                       count_spanning_trees, enumerate_bipartitions,
-                      forest_census, lplus_diag_via_forests, tree_center,
+                      forest_census, lplus_diag_fractions, tree_center,
                       tree_centrality)
 from .zoo import (CentralityReport, centrality_report, geodesic_betweenness,
                   geodesic_closeness, max_normalized, randic_index,

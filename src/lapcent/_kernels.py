@@ -182,9 +182,3 @@ def tree_scan(n):
             star_sum = int(s[star][-1])
             star_count += int(np.count_nonzero(star))
     return min_sum, min_count, star_sum, star_count
-
-
-def splitmix64_stream(seed, count):
-    """First `count` outputs of the splitmix64 stream for `seed` (testing aid):
-    the r-th output is the initial state of run r."""
-    return _run_state(np.uint64(seed), np.arange(count))

@@ -57,55 +57,6 @@ def recurrence_overhead(b: SpectralBundle, i: int, k: int, j: int) -> float:
     return float(b.graph.volume * (vik + vkj - vij))
 
 
-@dataclass(frozen=True)
-class CircuitIdentityReport:
-    max_residual: float
-    checked: int
-    skipped: int
-
-
-def verify_circuit_identities(b: SpectralBundle, triples) -> CircuitIdentityReport:
-    """Check superposition and reciprocity on the given (x, y, z) triples.
-
-    Superposition: V^{xz}_x = V^{xz}_y + V^{zx}_y.
-    Reciprocity:   V^{xy}_z = V^{zy}_x.
-    Triples with repeated nodes are skipped and counted.
-    """
-    worst = 0.0
-    checked = 0
-    skipped = 0
-    for x, y, z in triples:
-        if x == y or y == z or x == z:
-            skipped += 1
-            continue
-        sup = abs(_gauged_voltage(b, x, z)[x]
-                  - (_gauged_voltage(b, x, z)[y] + _gauged_voltage(b, z, x)[y]))
-        rec = abs(_gauged_voltage(b, x, y)[z] - _gauged_voltage(b, z, y)[x])
-        worst = max(worst, float(sup), float(rec))
-        checked += 1
-    return CircuitIdentityReport(max_residual=worst, checked=checked, skipped=skipped)
-
-
-def current_law_residual(b: SpectralBundle, i: int, j: int) -> float:
-    """Max net branch current over all nodes other than the terminals.
-
-    Kirchhoff's current law demands zero there; the residual measures how
-    well the solved voltages honor it.
-    """
-    if i == j:
-        raise GraphError("source and sink must differ")
-    v = _gauged_voltage(b, i, j)
-    g = b.graph
-    net = np.zeros(g.n)
-    for u, w, wt in g.edges:
-        cur = wt * (v[u] - v[w])
-        net[u] -= cur
-        net[w] += cur
-    mask = np.ones(g.n, bool)
-    mask[[i, j]] = False
-    return float(np.max(np.abs(net[mask]))) if g.n > 2 else 0.0
-
-
 def export_netlist(g: Graph) -> str:
     """Netlist text: one line per edge, "u v R=<1/w>"."""
     lines = [f"{u} {v} R={1.0 / w:.12g}" for u, v, w in g.edges]

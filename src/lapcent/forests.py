@@ -235,27 +235,13 @@ def forest_census(g: Graph) -> ForestCensus:
     return ForestCensus(eps_n1=eps_n1, eps_n2=eps_n2, eps_rooted=tuple(eps_rooted))
 
 
-def lplus_diag_via_forests(g: Graph) -> np.ndarray:
-    """diag(L+) by pure forest counting (the combinatorial oracle)."""
-    census = forest_census(g)
-    n = g.n
-    out = np.array([
-        float(Fraction(census.eps_rooted[i], 1)
-              - Fraction(census.eps_n2, n)) / census.eps_n1
-        for i in range(n)
-    ])
-    return out
-
-
 def lplus_diag_fractions(g: Graph):
-    """Same as lplus_diag_via_forests but as exact Fractions."""
+    """diag(L+) by pure forest counting, as exact Fractions (the
+    combinatorial oracle): l+_ii = (n rooted_i - eps_n2) / (n eps_n1)."""
     census = forest_census(g)
     n = g.n
-    return [
-        (Fraction(census.eps_rooted[i]) - Fraction(census.eps_n2, n))
-        / census.eps_n1
-        for i in range(n)
-    ]
+    return [Fraction(n * rooted - census.eps_n2, n * census.eps_n1)
+            for rooted in census.eps_rooted]
 
 
 # -- trees ---------------------------------------------------------------

@@ -7,6 +7,7 @@ graphs (all weights 1.0) fall back to plain hop counts.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -29,7 +30,7 @@ class DisconnectedError(GraphError):
 
 
 class Graph:
-    """Immutable simple graph: no self-loops, no parallel edges, weights > 0.
+    """Immutable simple graph: no self-loops, no parallel edges, finite weights > 0.
 
     Node ids are the dense range 0..n-1. Optional labels give external names
     for reports; internally everything is id-based.
@@ -51,8 +52,8 @@ class Graph:
                 raise GraphError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) references a node outside 0..{n-1}")
-            if w <= 0:
-                raise GraphError(f"nonpositive weight {w} on edge ({u},{v})")
+            if not math.isfinite(w) or w <= 0:
+                raise GraphError(f"weight {w} on edge ({u},{v}) must be positive and finite")
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
@@ -158,9 +159,6 @@ class Graph:
         if label in self._label_index:
             return self._label_index[label]
         raise GraphError(f"unknown node label {label!r}")
-
-    def relabeled(self, labels):
-        return Graph(self.n, self.edges, labels=labels)
 
     def __repr__(self):
         kind = "unweighted" if self.unweighted else "weighted"

@@ -1,5 +1,4 @@
-"""Random-walk quantities: exact hitting/commute times, detour overheads,
-the walk sides of their identities with the Laplacian pseudo-inverse, a
+"""Random-walk quantities: exact hitting/commute times, detour overheads, a
 seeded Monte Carlo estimator, and the dense-regime degree approximation.
 
 Walk transition probabilities are p_ik = a_ik / d(i). Exact hitting times
@@ -16,7 +15,6 @@ import numpy as np
 
 from . import _kernels
 from .graph import Graph, GraphError, require_connected, require_nodes
-from .spectral import SpectralBundle, resistance_matrix
 
 STEP_CAP = 10**7  # per-run guard against pathological walks
 
@@ -72,35 +70,6 @@ def average_detour_overhead(g: Graph, k: int, ht: HittingTable | None = None) ->
     H = ht.H
     total = n * H[:, k].sum() + n * H[k, :].sum() - H.sum()
     return float(total / (n * n * ht.vol))
-
-
-def commute_row_sum_identity(g: Graph, b: SpectralBundle, k: int,
-                             ht: HittingTable | None = None):
-    """(lhs, rhs) of sum_j C_kj = Vol(G) (n l+_kk + Tr(L+)).
-
-    The left side comes from the hitting-time linear solves, the right from
-    the pseudo-inverse, so the identity is checked across routes.
-    """
-    if ht is None:
-        ht = hitting_times_exact(g)
-    lhs = float(ht.C[k, :].sum())
-    rhs = float(ht.vol * (g.n * b.lplus[k, k] + np.trace(b.lplus)))
-    return lhs, rhs
-
-
-def kirchhoff_commute_identity(g: Graph, b: SpectralBundle,
-                               ht: HittingTable | None = None):
-    """(lhs, rhs) of K = sum_kj C_kj / (2 n Vol(G)), lhs from hitting solves."""
-    if ht is None:
-        ht = hitting_times_exact(g)
-    lhs = float(ht.C.sum() / (2.0 * g.n * ht.vol))
-    rhs = float(np.trace(b.lplus))
-    return lhs, rhs
-
-
-def commute_vs_resistance_gap(ht: HittingTable, b: SpectralBundle) -> float:
-    """max |C_ij - Vol * Omega_ij| over all pairs."""
-    return float(np.max(np.abs(ht.C - ht.vol * resistance_matrix(b))))
 
 
 # -- Monte Carlo oracle -------------------------------------------------

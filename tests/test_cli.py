@@ -230,7 +230,7 @@ SENSITIVITY_PINS = {
 }
 
 # SHA-256 of `verify --seed 42` stdout.
-VERIFY_SEED_42_PIN = "05a051775ccc41b166c1af92ea70b61ee965ed9b3fc03054e5d12430e22614b3"
+VERIFY_SEED_42_PIN = "dbf5bc895828af47422b67fd823806f9c562d9b3e2fe73019df3bc2a013b91b8"
 
 
 def sha256(text):

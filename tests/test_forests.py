@@ -5,12 +5,13 @@ import pytest
 
 from lapcent import (Graph, NotATreeError, SizeLimitError, build_spectral,
                      count_spanning_trees, enumerate_bipartitions,
-                     forest_census, lplus_diag_via_forests,
+                     forest_census, lplus_diag_fractions,
                      shortest_path_distances, topological_centrality,
                      tree_center, tree_centrality)
-from lapcent.forests import det_int, lplus_diag_fractions
+from lapcent.forests import det_int
 from lapcent.graph import GraphError
 from lapcent.spectral import resistance_matrix
+from lapcent.verify import check_forest_diagonal
 
 from helpers import (brute_forest_census, brute_spanning_tree_count,
                      brute_two_tree_forests, complete_graph, path_graph,
@@ -160,8 +161,7 @@ class TestForestDiagonal:
         rng = np.random.default_rng(7)
         for _ in range(30):
             g = random_connected(rng, int(rng.integers(3, 8)), p=0.5)
-            diag = np.diag(build_spectral(g).lplus)
-            assert np.max(np.abs(lplus_diag_via_forests(g) - diag)) <= 1e-9
+            assert check_forest_diagonal.residual(g) <= 1e-9
 
 
 class TestTreeCentrality:

@@ -80,6 +80,12 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             Graph(2, [(0, 1, -1.0)])
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weight(self, w):
+        # a NaN weight used to pass `w <= 0` and turn every C* into NaN
+        with pytest.raises(GraphError, match="finite"):
+            Graph(3, [(0, 1, w), (1, 2, 1.0)])
+
     def test_labels(self):
         g = Graph(2, [(0, 1)], labels=["a", "b"])
         assert g.label_of(1) == "b"
@@ -155,6 +161,11 @@ class TestRewire:
             rewire(g, remove=[(1, 2)], add=[])
         cut = rewire(g, remove=[(1, 2)], add=[], check_connected=False)
         assert not is_connected(cut)
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_add_non_finite_weight(self, w):
+        with pytest.raises(GraphError, match="finite"):
+            rewire(path_graph(3), remove=[], add=[(0, 2, w)])
 
     def test_preserves_labels(self):
         g = Graph(3, [(0, 1), (1, 2)], labels=["x", "y", "z"])

@@ -11,7 +11,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from lapcent import Graph, abilene_topology, centrality_report
+from lapcent import Graph, abilene_topology, centrality_report, hitting_times_exact
 
 from helpers import random_connected, rel_gap
 
@@ -88,3 +88,7 @@ def test_realistic_sizes_match_networkx(name, n, weights, weighted):
     assert rel_gap(rep.gc, gc) <= 1e-10
     resistance = nx.effective_graph_resistance(G, weight="weight", invert_weight=False)
     assert abs(rep.kirchhoff - resistance / n) <= 1e-10 * rep.kirchhoff
+    # networkx has no hitting times, so commute times are checked as Vol(G) * Omega
+    omega = nx.resistance_distance(G, weight="weight", invert_weight=False)
+    omega = np.array([[omega[i][j] for j in range(n)] for i in range(n)])
+    assert rel_gap(hitting_times_exact(g).C, g.volume * omega) <= 1e-10

@@ -6,11 +6,11 @@ import pytest
 from lapcent import _kernels
 from lapcent import (Graph, StepCapExceeded, approx_commute_dense,
                      approx_hitting_dense, average_detour_overhead,
-                     build_spectral, commute_row_sum_identity, detour_overhead,
-                     estimate_hitting_mc, estimate_visits_mc,
-                     hitting_times_exact, kirchhoff_commute_identity)
+                     build_spectral, detour_overhead, estimate_hitting_mc,
+                     estimate_visits_mc, hitting_times_exact)
 from lapcent.graph import DisconnectedError, GraphError
-from lapcent.walks import commute_vs_resistance_gap, simulate_hitting_steps
+from lapcent.verify import check_commute_resistance, check_commute_rowsum
+from lapcent.walks import simulate_hitting_steps
 
 from helpers import (complete_graph, cycle_graph, hitting_by_fundamental,
                      path_graph, random_connected, star_graph)
@@ -52,8 +52,7 @@ class TestExactHitting:
         for _ in range(10):
             g = random_connected(rng, int(rng.integers(4, 11)),
                                        weighted=bool(rng.integers(2)))
-            assert commute_vs_resistance_gap(hitting_times_exact(g),
-                                             build_spectral(g)) <= 1e-9
+            assert check_commute_resistance.residual(g) <= 1e-9
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
@@ -131,23 +130,28 @@ class TestAverageDetour:
 
 class TestCommuteIdentities:
     def test_p3_center_row(self):
+        # sum_j C_1j = Vol (n l+_11 + Tr(L+)) = 4 (3 * 2/9 + 4/3)
         g = path_graph(3)
-        b = build_spectral(g)
-        lhs, rhs = commute_row_sum_identity(g, b, 1)
-        assert lhs == pytest.approx(8.0, abs=1e-9)
-        assert rhs == pytest.approx(8.0, abs=1e-9)
+        lp = build_spectral(g).lplus
+        ht = hitting_times_exact(g)
+        assert ht.C[1, :].sum() == pytest.approx(8.0, abs=1e-9)
+        assert ht.vol * (3 * lp[1, 1] + np.trace(lp)) == pytest.approx(8.0, abs=1e-9)
+        assert check_commute_rowsum.residual(g) <= 1e-9
 
     def test_k3_any_row(self):
         g = complete_graph(3)
-        lhs, rhs = commute_row_sum_identity(g, build_spectral(g), 2)
-        assert lhs == pytest.approx(8.0, abs=1e-9)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        lp = build_spectral(g).lplus
+        ht = hitting_times_exact(g)
+        assert ht.C[2, :].sum() == pytest.approx(8.0, abs=1e-9)
+        assert ht.vol * (3 * lp[2, 2] + np.trace(lp)) == pytest.approx(8.0, abs=1e-9)
+        assert check_commute_rowsum.residual(g) <= 1e-9
 
     def test_p3_kirchhoff_double_sum(self):
+        # K = sum_kj C_kj / (2 n Vol) = Tr(L+)
         g = path_graph(3)
-        lhs, rhs = kirchhoff_commute_identity(g, build_spectral(g))
-        assert lhs == pytest.approx(4 / 3, abs=1e-9)
-        assert rhs == pytest.approx(4 / 3, abs=1e-9)
+        ht = hitting_times_exact(g)
+        assert ht.C.sum() / (2 * 3 * ht.vol) == pytest.approx(4 / 3, abs=1e-9)
+        assert np.trace(build_spectral(g).lplus) == pytest.approx(4 / 3, abs=1e-9)
 
     def test_most_central_has_smallest_commute_row(self):
         rng = np.random.default_rng(4)
