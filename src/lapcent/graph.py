@@ -172,8 +172,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v [w]" lines into a Graph.
 
     Lines may carry "#" comments; blank lines are skipped; LF and CRLF both
-    work. Any malformed line, self-loop, nonpositive weight, or duplicate
-    edge rejects the whole input with its line number.
+    work. Any malformed line, self-loop, weight that is not positive and
+    finite, or duplicate edge rejects the whole input with its line number.
     """
     edges = []
     seen = set()
@@ -200,7 +200,7 @@ def parse_edge_list(text: str) -> Graph:
             except ValueError:
                 raise EdgeListError(f"bad weight {parts[2]!r}", ln) from None
             if not np.isfinite(w) or w <= 0:
-                raise EdgeListError(f"nonpositive weight {w}", ln)
+                raise EdgeListError(f"weight {w} must be positive and finite", ln)
         key = (min(u, v), max(u, v))
         if key in seen:
             raise EdgeListError(f"duplicate edge ({u},{v})", ln)

@@ -423,7 +423,7 @@ def check_tree_spd_resistance(t):
 def check_commute_rowsum(g):
     """Commute row sums sum_j C_kj = Vol(G) (n l+_kk + Tr(L+)), and the
     Kirchhoff double sum K = sum_kj C_kj / (2 n Vol(G)), with C from the
-    hitting-time solves and the right sides from the pseudo-inverse."""
+    exact hitting times and the right sides from the pseudo-inverse."""
     b = build_spectral(g)
     ht = hitting_times_exact(g)
     trace = np.trace(b.lplus)
@@ -585,7 +585,7 @@ def chunked_steps(g, i, j, seed, sizes):
 
 @register("mc-hitting")
 def check_mc_hitting(cfg: VerifyConfig) -> CheckResult:
-    """Monte Carlo hitting estimates agree with the exact solves to 4 SE,
+    """Monte Carlo hitting estimates agree with the exact table to 4 SE,
     and the per-run sequence is chunking-invariant."""
     runs = cfg.runs
     problems = []

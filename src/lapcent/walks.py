@@ -2,7 +2,7 @@
 seeded Monte Carlo estimator, and the dense-regime degree approximation.
 
 Walk transition probabilities are p_ik = a_ik / d(i). Exact hitting times
-come from one linear solve per target (first-step equations), deliberately
+come from the chain's fundamental matrix (one dense inverse), deliberately
 independent of L+, so the identities that `lapcent.verify` checks compare
 two independent routes rather than one route with itself.
 """
@@ -29,20 +29,21 @@ class HittingTable:
 
 
 def hitting_times_exact(g: Graph) -> HittingTable:
-    """Solve the first-step equations for every target node.
+    """Every hitting time from the fundamental matrix of the walk.
 
-    For target j the vector h restricted to i != j satisfies
-    (I - Q) h = 1 with Q the transition matrix among non-target nodes.
+    With stationary distribution pi = d / Vol(G) and
+    Z = (I - P + 1 pi^T)^-1 (Kemeny & Snell, Finite Markov Chains),
+    H[i, j] = (Z_jj - Z_ij) / pi_j, and H[j, j] is exactly 0.
     """
     require_connected(g, "hitting_times_exact")
     n = g.n
-    P = g.adjacency / g.degrees[:, None]
-    H = np.zeros((n, n))
-    idx_all = np.arange(n)
-    for j in range(n):
-        keep = idx_all != j
-        M = np.eye(n - 1) - P[np.ix_(keep, keep)]
-        H[keep, j] = np.linalg.solve(M, np.ones(n - 1))
+    if n == 1:  # Vol(G) = 0 leaves pi undefined, and there is nothing to hit
+        return HittingTable(H=np.zeros((1, 1)), C=np.zeros((1, 1)), vol=g.volume)
+    d = g.degrees
+    pi = d / g.volume
+    Z = np.linalg.inv(np.eye(n) - g.adjacency / d[:, None] + pi)
+    H = (np.diag(Z) - Z) / pi
+    np.fill_diagonal(H, 0.0)
     return HittingTable(H=H, C=H + H.T, vol=g.volume)
 
 
@@ -62,7 +63,7 @@ def average_detour_overhead(g: Graph, k: int, ht: HittingTable | None = None) ->
 
     The double sum runs over all ordered pairs including i == j and
     i == k == j. The value equals l+_kk (verify's detour-average checks
-    that). Pass a precomputed table to amortize the linear solves.
+    that). Pass a precomputed table to reuse it across transit nodes.
     """
     if ht is None:
         ht = hitting_times_exact(g)

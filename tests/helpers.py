@@ -20,6 +20,27 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def wide_weight_cycle(n=60):
+    """An n-cycle with weights 10^U(-6, 0), and its resistance matrix in
+    closed form: the two arcs between i and j are resistors in parallel."""
+    w = 10.0 ** np.random.default_rng(0).uniform(-6, 0, n)
+    g = Graph(n, [(i, (i + 1) % n, float(w[i])) for i in range(n)])
+    r = 1.0 / w
+    pos = np.concatenate([[0.0], np.cumsum(r[:-1])])
+    arc = np.abs(pos[:, None] - pos[None, :])
+    return g, arc * (r.sum() - arc) / r.sum()
+
+
+def ring_chords(rng, n, weights):
+    """Ring plus 2n random chords (m = 3n), weights drawn by `weights`."""
+    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    while len(pairs) < 3 * n:
+        u, v = sorted(rng.choice(n, 2, replace=False).tolist())
+        pairs.add((u, v))
+    pairs = sorted(pairs)
+    return Graph(n, [(u, v, w) for (u, v), w in zip(pairs, weights(rng, len(pairs)))])
+
+
 def rel_gap(got, want):
     """Largest entrywise gap relative to the largest |want| entry, so that
     entries at or near 0 do not blow the ratio up."""

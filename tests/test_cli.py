@@ -230,7 +230,7 @@ SENSITIVITY_PINS = {
 }
 
 # SHA-256 of `verify --seed 42` stdout.
-VERIFY_SEED_42_PIN = "dbf5bc895828af47422b67fd823806f9c562d9b3e2fe73019df3bc2a013b91b8"
+VERIFY_SEED_42_PIN = "294e47506d74cbfd7237e5fc98908ac9b66518eb23f15b677fda9caec7c52625"
 
 
 def sha256(text):

@@ -38,6 +38,11 @@ class TestParse:
         with pytest.raises(EdgeListError, match="weight"):
             parse_edge_list("0 1 -2")
 
+    @pytest.mark.parametrize("text", ["0 1 nan\n1 2", "0 1 inf\n1 2"], ids=["nan", "inf"])
+    def test_non_finite_weight_names_the_fault(self, text):
+        with pytest.raises(EdgeListError, match="line 1: weight .* must be positive and finite"):
+            parse_edge_list(text)
+
     def test_malformed(self):
         with pytest.raises(EdgeListError, match="line 2"):
             parse_edge_list("0 1\n0 1 2 3")

@@ -11,9 +11,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from lapcent import Graph, abilene_topology, centrality_report, hitting_times_exact
+from lapcent import abilene_topology, centrality_report, hitting_times_exact
 
-from helpers import random_connected, rel_gap
+from helpers import random_connected, rel_gap, ring_chords
 
 
 def _cases():
@@ -57,16 +57,6 @@ def test_indices_match_networkx(name, g, weighted):
     assert abs(rep.kirchhoff - resistance / g.n) <= 1e-9 * rep.kirchhoff
 
 
-def _ring_chords(rng, n, weights):
-    """Ring plus 2n random chords (m = 3n), weights drawn by `weights`."""
-    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
-    while len(pairs) < 3 * n:
-        u, v = sorted(rng.choice(n, 2, replace=False).tolist())
-        pairs.add((u, v))
-    pairs = sorted(pairs)
-    return Graph(n, [(u, v, w) for (u, v), w in zip(pairs, weights(rng, len(pairs)))])
-
-
 LARGE = [
     ("weighted-150", 150, lambda rng, m: rng.uniform(0.2, 3.0, m), True),
     ("unweighted-200", 200, lambda rng, m: np.ones(m), False),
@@ -76,7 +66,7 @@ LARGE = [
 
 @pytest.mark.parametrize("name, n, weights, weighted", LARGE, ids=[c[0] for c in LARGE])
 def test_realistic_sizes_match_networkx(name, n, weights, weighted):
-    g = _ring_chords(np.random.default_rng(n), n, weights)
+    g = ring_chords(np.random.default_rng(n), n, weights)
     G = _to_nx(g)
     rep = centrality_report(g)
     length = "length" if weighted else None

@@ -8,7 +8,7 @@ from lapcent import (DisconnectedError, Graph, build_spectral,
 from lapcent.verify import eigen_route
 
 from helpers import (complete_graph, path_graph, random_connected,
-                     star_graph)
+                     star_graph, wide_weight_cycle)
 
 
 class TestPseudoInverse:
@@ -62,14 +62,9 @@ class TestPseudoInverse:
     def test_wide_weight_cycle(self):
         # weights spanning 10^6 put L+ entries near 1e6; the absolute 1e-8
         # route gap once rejected this graph
-        n = 60
-        w = 10.0 ** np.random.default_rng(0).uniform(-6, 0, n)
-        b = build_spectral(Graph(n, [(i, (i + 1) % n, float(w[i])) for i in range(n)]))
-        # the two arcs between i and j are resistors in parallel
-        r = 1.0 / w
-        pos = np.concatenate([[0.0], np.cumsum(r[:-1])])
-        arc = np.abs(pos[:, None] - pos[None, :])
-        omega = arc * (r.sum() - arc) / r.sum()
+        g, omega = wide_weight_cycle()
+        b = build_spectral(g)
+        n = g.n
         closed = omega.sum(axis=1) / n - omega.sum() / (2 * n * n)
         assert np.max(np.abs(np.diag(b.lplus) - closed) / closed) <= 1e-9
 

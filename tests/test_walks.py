@@ -13,7 +13,8 @@ from lapcent.verify import check_commute_resistance, check_commute_rowsum
 from lapcent.walks import simulate_hitting_steps
 
 from helpers import (complete_graph, cycle_graph, hitting_by_fundamental,
-                     path_graph, random_connected, star_graph)
+                     path_graph, random_connected, ring_chords, star_graph,
+                     wide_weight_cycle)
 
 
 class TestExactHitting:
@@ -57,6 +58,30 @@ class TestExactHitting:
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             hitting_times_exact(Graph(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_node_is_zero_without_warning(self):
+        # Vol(G) = 0 here, so pi = d / Vol would divide 0 by 0
+        ht = hitting_times_exact(Graph(1, []))
+        assert ht.H.tolist() == [[0.0]] and ht.C.tolist() == [[0.0]]
+
+    def test_wide_weight_cycle_commute_closed_form(self):
+        # stationary probabilities span 10^6
+        g, omega = wide_weight_cycle()
+        want = g.volume * omega
+        C = hitting_times_exact(g).C
+        off = ~np.eye(g.n, dtype=bool)
+        assert np.max(np.abs(C[off] - want[off]) / want[off]) <= 1e-9
+
+    def test_weighted_ring_chords_match_absorbing_chain(self):
+        n = 300
+        rng = np.random.default_rng(n)
+        g = ring_chords(rng, n, lambda rng, m: rng.uniform(0.2, 3.0, m))
+        H = hitting_times_exact(g).H
+        for _ in range(6):
+            i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+            want = hitting_by_fundamental(g, i, j)
+            assert abs(H[i, j] - want) <= 1e-10 * want
 
 
 class TestDetourOverhead:
@@ -119,12 +144,10 @@ class TestAverageDetour:
     def test_wide_weight_cycle(self):
         # L+ entries near 6e5: a 4.3e-10 relative gap once failed an
         # absolute 1e-9 bound against l+_kk
-        n = 60
-        w = 10.0 ** np.random.default_rng(0).uniform(-6, 0, n)
-        g = Graph(n, [(i, (i + 1) % n, float(w[i])) for i in range(n)])
+        g, _ = wide_weight_cycle()
         diag = np.diag(build_spectral(g).lplus)
         ht = hitting_times_exact(g)
-        avg = np.array([average_detour_overhead(g, k, ht=ht) for k in range(n)])
+        avg = np.array([average_detour_overhead(g, k, ht=ht) for k in range(g.n)])
         assert np.max(np.abs(avg - diag) / diag) <= 1e-8
 
 
