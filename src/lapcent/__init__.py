@@ -10,8 +10,8 @@ from .graph import (DisconnectedError, EdgeListError, Graph, GraphError,
                     is_connected, load_edge_list, parse_edge_list, rewire,
                     shortest_path_distances)
 from .spectral import (SpectralBundle, build_spectral, effective_resistance,
-                       kirchhoff_index, resistance_matrix, robustness_summary,
-                       spectral_report, topological_centrality)
+                       kirchhoff_index, resistance_matrix, spectral_report,
+                       topological_centrality)
 from .walks import (HittingTable, StepCapExceeded, WalkEstimate,
                     approx_commute_dense, approx_hitting_dense,
                     average_detour_overhead, detour_overhead,

@@ -31,7 +31,7 @@ def _write(text: str, path: str | None):
 
 
 def _dump_json(obj, path):
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+    _write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def cmd_analyze(args) -> int:

@@ -109,8 +109,7 @@ def count_spanning_trees(g: Graph):
         return 1
     if g.unweighted:
         return _tree_count_subset(g, list(range(g.n)))
-    lap = np.diag(g.degrees) - g.adjacency
-    return float(np.linalg.det(lap[1:, 1:]))
+    return float(np.linalg.det(g.laplacian[1:, 1:]))
 
 
 # -- bi-partitions ------------------------------------------------------

@@ -3,18 +3,30 @@
 Edge weights are affinities: larger weight means the endpoints are closer.
 Geodesic computations therefore use 1/w as the length of an edge; unweighted
 graphs (all weights 1.0) fall back to plain hop counts.
+
+`Graph` is the one place that applies the edge rules and the one owner of
+the views derived from its edges (edge arrays, adjacency, degrees,
+Laplacian, CSR, components): each is computed on first use, cached and
+returned read-only.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
 
 class GraphError(Exception):
-    """Invalid graph construction or operation."""
+    """Invalid graph construction or operation. `edge` is the input position
+    of the edge at fault when Graph rejects a single edge."""
+
+    def __init__(self, message="", edge=None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class EdgeListError(GraphError):
@@ -29,6 +41,11 @@ class DisconnectedError(GraphError):
     """Operation requires a connected graph."""
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
 class Graph:
     """Immutable simple graph: no self-loops, no parallel edges, finite weights > 0.
 
@@ -41,25 +58,22 @@ class Graph:
             raise GraphError("graph needs at least one node")
         seen = set()
         canon = []
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1.0
-            else:
-                u, v, w = e
+        for idx, e in enumerate(edges):
+            u, v, w = (*e, 1.0) if len(e) == 2 else e
             u, v, w = int(u), int(v), float(w)
+            key = (u, v) if u < v else (v, u)
             if u == v:
-                raise GraphError(f"self-loop at node {u}")
+                raise GraphError(f"self-loop at node {u}", edge=idx)
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) references a node outside 0..{n-1}")
+                raise GraphError(f"edge ({u},{v}) references a node outside 0..{n-1}",
+                                 edge=idx)
             if not math.isfinite(w) or w <= 0:
-                raise GraphError(f"weight {w} on edge ({u},{v}) must be positive and finite")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            canon.append((u, v, w))
+                raise GraphError(f"weight {w} on edge ({u},{v}) must be positive and finite",
+                                 edge=idx)
+            if key in seen:
+                raise GraphError(f"duplicate edge ({u},{v})", edge=idx)
+            seen.add(key)
+            canon.append((*key, w))
         canon.sort()
         self.n = n
         self.edges = tuple(canon)
@@ -68,10 +82,6 @@ class Graph:
             if len(labels) != n:
                 raise GraphError(f"expected {n} labels, got {len(labels)}")
         self.labels = labels
-        self._adjacency = None
-        self._degrees = None
-        self._csr = None
-        self._label_index = None
 
     # -- derived views -------------------------------------------------
 
@@ -79,36 +89,40 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    @property
+    @cached_property
+    def edge_arrays(self):
+        """Endpoints and weights of the edges, in edge order, as arrays (u, v, w)."""
+        cols = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
+        return (_frozen(cols[:, 0].astype(np.int64)), _frozen(cols[:, 1].astype(np.int64)),
+                _frozen(cols[:, 2]))
+
+    @cached_property
     def adjacency(self):
         """Dense symmetric affinity matrix with zero diagonal."""
-        if self._adjacency is None:
-            a = np.zeros((self.n, self.n))
-            for u, v, w in self.edges:
-                a[u, v] = w
-                a[v, u] = w
-            a.setflags(write=False)
-            self._adjacency = a
-        return self._adjacency
+        u, v, w = self.edge_arrays
+        a = np.zeros((self.n, self.n))
+        a[u, v] = w
+        a[v, u] = w
+        return _frozen(a)
 
-    @property
+    @cached_property
     def degrees(self):
-        """Generalized degrees d(i) = sum_j a_ij."""
-        if self._degrees is None:
-            d = np.zeros(self.n)
-            for u, v, w in self.edges:
-                d[u] += w
-                d[v] += w
-            d.setflags(write=False)
-            self._degrees = d
-        return self._degrees
+        """Generalized degrees d(i) = sum_j a_ij, summed in edge order."""
+        u, v, w = self.edge_arrays
+        ends = np.column_stack([u, v]).ravel()  # u0 v0 u1 v1 ...
+        return _frozen(np.bincount(ends, weights=np.repeat(w, 2), minlength=self.n))
+
+    @cached_property
+    def laplacian(self):
+        """Combinatorial Laplacian L = D - A."""
+        return _frozen(np.diag(self.degrees) - self.adjacency)
 
     @property
     def volume(self):
         """Vol(G) = sum of degrees = twice the total edge weight."""
         return float(self.degrees.sum())
 
-    @property
+    @cached_property
     def unweighted(self):
         return all(w == 1.0 for _, _, w in self.edges)
 
@@ -118,44 +132,47 @@ class Graph:
         cumweights holds, within each node's slice, the running sum of
         incident edge weights; the last entry of a slice equals d(i).
         """
-        if self._csr is None:
-            adj = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            indptr = np.zeros(self.n + 1, np.int64)
-            nbrs = np.empty(2 * self.m, np.int64)
-            cumw = np.empty(2 * self.m, np.float64)
-            pos = 0
-            for u in range(self.n):
-                adj[u].sort()
-                acc = 0.0
-                for v, w in adj[u]:
-                    acc += w
-                    nbrs[pos] = v
-                    cumw[pos] = acc
-                    pos += 1
-                indptr[u + 1] = pos
-            for arr in (indptr, nbrs, cumw):
-                arr.setflags(write=False)
-            self._csr = (indptr, nbrs, cumw)
         return self._csr
 
+    @cached_property
+    def _csr(self):
+        adj = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        indptr = np.zeros(self.n + 1, np.int64)
+        nbrs = np.empty(2 * self.m, np.int64)
+        cumw = np.empty(2 * self.m, np.float64)
+        pos = 0
+        for u in range(self.n):
+            adj[u].sort()
+            acc = 0.0
+            for v, w in adj[u]:
+                acc += w
+                nbrs[pos] = v
+                cumw[pos] = acc
+                pos += 1
+            indptr[u + 1] = pos
+        return _frozen(indptr), _frozen(nbrs), _frozen(cumw)
+
+    @cached_property
+    def _components(self):
+        return _search_components(self)
+
     def has_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return any(a == u and b == v for a, b, _ in self.edges)
+        key = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, key)
+        return i < self.m and self.edges[i][:2] == key
 
     def label_of(self, i):
         return self.labels[i] if self.labels is not None else str(i)
 
+    @cached_property
+    def _label_index(self):
+        return {lab: i for i, lab in enumerate(self.labels or ())}
+
     def index_of(self, label):
         """Resolve an external label to a node id."""
-        if self._label_index is None:
-            if self.labels is None:
-                self._label_index = {}
-            else:
-                self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         if label in self._label_index:
             return self._label_index[label]
         raise GraphError(f"unknown node label {label!r}")
@@ -172,12 +189,11 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v [w]" lines into a Graph.
 
     Lines may carry "#" comments; blank lines are skipped; LF and CRLF both
-    work. Any malformed line, self-loop, weight that is not positive and
-    finite, or duplicate edge rejects the whole input with its line number.
+    work. Node ids must be the dense range 0..n-1. A malformed line, or an
+    edge that Graph rejects (self-loop, weight that is not positive and
+    finite, duplicate), rejects the whole input with its line number.
     """
-    edges = []
-    seen = set()
-    max_id = -1
+    edges, lines = [], []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,25 +207,23 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(f"non-integer node id in {raw.strip()!r}", ln) from None
         if u < 0 or v < 0:
             raise EdgeListError("negative node id", ln)
-        if u == v:
-            raise EdgeListError(f"self-loop at node {u}", ln)
-        w = 1.0
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise EdgeListError(f"bad weight {parts[2]!r}", ln) from None
-            if not np.isfinite(w) or w <= 0:
-                raise EdgeListError(f"weight {w} must be positive and finite", ln)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise EdgeListError(f"duplicate edge ({u},{v})", ln)
-        seen.add(key)
-        max_id = max(max_id, u, v)
+        try:
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise EdgeListError(f"bad weight {parts[2]!r}", ln) from None
         edges.append((u, v, w))
+        lines.append(ln)
     if not edges:
         raise GraphError("edge list is empty")
-    return Graph(max_id + 1, edges)
+    ids = {x for u, v, _ in edges for x in (u, v)}
+    n = max(ids) + 1
+    if len(ids) < n:
+        missing = next(i for i, x in enumerate(sorted(ids)) if i != x)
+        raise GraphError(f"node ids must be dense 0..{n - 1}; id {missing} is missing")
+    try:
+        return Graph(n, edges)
+    except GraphError as exc:
+        raise EdgeListError(str(exc), lines[exc.edge]) from None
 
 
 def format_edge_list(g: Graph) -> str:
@@ -230,7 +244,15 @@ def load_edge_list(path) -> Graph:
 
 
 def components(g: Graph):
-    """Connected components as sorted node lists, ordered by smallest member."""
+    """Connected components as sorted node lists, ordered by smallest member.
+
+    The search runs once per graph; every call returns fresh lists.
+    """
+    return [list(c) for c in g._components]
+
+
+def _search_components(g: Graph):
+    """Breadth-first search over the CSR; components as sorted tuples."""
     indptr, nbrs, _ = g.csr()
     seen = np.zeros(g.n, bool)
     out = []
@@ -248,19 +270,19 @@ def components(g: Graph):
                     seen[v] = True
                     comp.append(v)
                     queue.append(v)
-        out.append(sorted(comp))
-    return out
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    return len(g._components) == 1
 
 
 def require_connected(g: Graph, what="operation"):
-    comps = components(g)
+    comps = g._components
     if len(comps) > 1:
         raise DisconnectedError(
-            f"{what} requires a connected graph; second component: {comps[1]}"
+            f"{what} requires a connected graph; second component: {list(comps[1])}"
         )
 
 
@@ -299,9 +321,10 @@ def rewire(g: Graph, remove, add, check_connected=True) -> Graph:
     """New graph with `remove` edges deleted and `add` edges inserted.
 
     Removal entries are (u, v); additions are (u, v) with weight 1 or
-    (u, v, w). Removing a missing edge, adding an existing edge, or adding
-    a self-loop is an error. Set check_connected=False to allow results
-    that fall apart (e.g. failure analysis).
+    (u, v, w). Removing a missing edge or adding an existing edge is an
+    error, and the result must pass Graph's edge rules. Set
+    check_connected=False to allow results that fall apart (e.g. failure
+    analysis).
     """
     current = {(u, v): w for u, v, w in g.edges}
     for e in remove:
@@ -311,18 +334,11 @@ def rewire(g: Graph, remove, add, check_connected=True) -> Graph:
             raise GraphError(f"cannot remove missing edge ({u},{v})")
         del current[key]
     for e in add:
-        if len(e) == 2:
-            u, v = e
-            w = 1.0
-        else:
-            u, v, w = e
-        u, v = int(u), int(v)
-        if u == v:
-            raise GraphError(f"cannot add self-loop at node {u}")
+        u, v = int(e[0]), int(e[1])
         key = (min(u, v), max(u, v))
         if key in current:
             raise GraphError(f"cannot add existing edge ({u},{v})")
-        current[key] = float(w)
+        current[key] = e[2] if len(e) == 3 else 1.0
     out = Graph(g.n, [(u, v, w) for (u, v), w in current.items()], labels=g.labels)
     if check_connected:
         require_connected(out, "rewire result")

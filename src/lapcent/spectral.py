@@ -11,8 +11,6 @@ reports record the convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph, require_connected
@@ -21,31 +19,33 @@ KIRCHHOFF_CONVENTION = "trace"  # K = Tr(L+), no factor n
 
 
 class SpectralBundle:
-    """The combinatorial Laplacian of a connected graph and its
-    Moore-Penrose pseudo-inverse lplus (symmetric, rows sum to zero)."""
+    """A connected graph and the Moore-Penrose pseudo-inverse lplus of its
+    Laplacian (symmetric, rows sum to zero)."""
 
-    def __init__(self, graph, laplacian, lplus):
+    def __init__(self, graph, lplus):
         self.graph = graph
-        self.laplacian = laplacian
         self.lplus = lplus
 
     @property
     def n(self):
         return self.graph.n
 
+    @property
+    def laplacian(self):
+        return self.graph.laplacian
+
 
 def build_spectral(g: Graph) -> SpectralBundle:
-    """Build the Laplacian and L+ = sym((L + J/n)^-1 - J/n).
+    """L+ = sym((L + J/n)^-1 - J/n) from the graph's Laplacian.
 
     Connectivity is decided by breadth-first search (authoritative); a
     disconnected graph raises naming the second component.
     """
     require_connected(g, "spectral bundle")
     n = g.n
-    lap = np.diag(g.degrees) - g.adjacency
-    lplus = np.linalg.inv(lap + 1.0 / n) - 1.0 / n
+    lplus = np.linalg.inv(g.laplacian + 1.0 / n) - 1.0 / n
     lplus = (lplus + lplus.T) / 2.0
-    return SpectralBundle(g, lap, lplus)
+    return SpectralBundle(g, lplus)
 
 
 def topological_centrality(b: SpectralBundle) -> np.ndarray:
@@ -70,25 +70,13 @@ def resistance_matrix(b: SpectralBundle) -> np.ndarray:
     return d[:, None] + d[None, :] - 2.0 * b.lplus
 
 
-@dataclass(frozen=True)
-class RobustnessSummary:
-    cstar: np.ndarray
-    kirchhoff: float
-    kstar: float
-
-
-def robustness_summary(b: SpectralBundle) -> RobustnessSummary:
-    cstar = topological_centrality(b)
-    k, kstar = kirchhoff_index(b)
-    return RobustnessSummary(cstar=cstar, kirchhoff=k, kstar=kstar)
-
-
 def spectral_report(b: SpectralBundle) -> dict:
     """JSON-ready report: per-node diagonal and C*, graph-level K, K* and the
     Laplacian spectrum (descending, so the zero mode comes last). The graph
     is connected, so exactly one eigenvalue is zero; it is reported as 0.0
     rather than as rounding noise of either sign."""
-    summary = robustness_summary(b)
+    cstar = topological_centrality(b)
+    k, kstar = kirchhoff_index(b)
     evals = np.linalg.eigvalsh(b.laplacian)[::-1]
     evals[-1] = 0.0
     diag = np.diag(b.lplus)
@@ -97,15 +85,15 @@ def spectral_report(b: SpectralBundle) -> dict:
             "id": i,
             "label": b.graph.label_of(i),
             "lplus_diag": float(diag[i]),
-            "cstar": float(summary.cstar[i]),
+            "cstar": float(cstar[i]),
         }
         for i in range(b.n)
     ]
     return {
         "nodes": nodes,
         "graph": {
-            "kirchhoff": summary.kirchhoff,
-            "kstar": summary.kstar,
+            "kirchhoff": k,
+            "kstar": kstar,
             "eigenvalues": [float(x) for x in evals],
             "kirchhoff_convention": KIRCHHOFF_CONVENTION,
         },

@@ -79,17 +79,12 @@ def gen_core_gateway(spec: TopologySpec) -> Graph:
         gw = c + gi
         edges.extend((gw, nxt + k) for k in range(size))
         nxt += size
-    present = {(min(u, v), max(u, v)) for u, v in edges}
-    for u, v in spec.redundant_pairs:
-        key = (min(u, v), max(u, v))
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ConstraintError(f"redundant pair ({u},{v}) is not a valid edge")
-        if key in present:
-            raise ConstraintError(f"redundant pair ({u},{v}) already wired")
-        present.add(key)
-        edges.append((u, v))
+    edges.extend(spec.redundant_pairs)
     labels = [f"v{i + 1}" for i in range(n)]
-    return Graph(n, edges, labels=labels)
+    try:
+        return Graph(n, edges, labels=labels)
+    except GraphError as exc:  # the generated edges are valid; a redundant pair is not
+        raise ConstraintError(f"redundant pair rejected: {exc}") from None
 
 
 def abilene_topology() -> Graph:
@@ -202,8 +197,11 @@ class SensitivityReport:
     directions: dict
 
     def to_dict(self):
+        """JSON-ready form; an infinite delta (descriptor 0 before, nonzero
+        after) is None, its arrow still gives the sign."""
+        deltas = {k: d if math.isfinite(d) else None for k, d in self.deltas.items()}
         return {"before": self.before, "after": self.after,
-                "deltas": self.deltas, "directions": self.directions}
+                "deltas": deltas, "directions": self.directions}
 
 
 def _direction(delta: float) -> str:

@@ -468,8 +468,7 @@ def randomwalk_betweenness_by_solves(g: Graph) -> np.ndarray:
     n = g.n
     if n < 3:
         return np.zeros(n)
-    lap = np.diag(g.degrees) - g.adjacency
-    red = lap[1:, 1:]
+    red = g.laplacian[1:, 1:]
     edges = g.edges
     rb = np.zeros(n)
     for s in range(n):

@@ -28,14 +28,8 @@ from .graph import Graph, shortest_path_distances
 from .spectral import (SpectralBundle, build_spectral, kirchhoff_index,
                        topological_centrality)
 
-GEO_TIE_TOL = 1e-12  # relative slack when comparing weighted geodesic lengths
+GEO_TIE_ULPS = 4  # tie slack per summed length, in units of eps * spd
 BLOCK_CELLS = 2**20  # array cells per block of sources (gb) or of edges (rb)
-
-
-def _edge_arrays(g: Graph):
-    """Endpoints and weights of the edges as arrays (u, v, w)."""
-    cols = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
-    return cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64), cols[:, 2]
 
 
 def geodesic_closeness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
@@ -51,7 +45,8 @@ def geodesic_betweenness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
 
     Brandes' dependency accumulation for a block of sources at once.
     Directed edge u->v lies on a shortest path from s when
-    spd[s,u] + 1/w = spd[s,v] within a small relative tolerance. Path counts
+    spd[s,u] + 1/w = spd[s,v] within GEO_TIE_ULPS * n * eps * spd[s,v], the
+    rounding a sum of up to n lengths can carry. Path counts
     sigma grow one hop layer of every source's shortest-path DAG per pass;
     the backward passes push 1/sigma the other way, so that sigma times
     their sum is the dependency of s on each node. `spd` as in
@@ -60,16 +55,17 @@ def geodesic_betweenness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
     if spd is None:
         spd = shortest_path_distances(g)
     n = g.n
-    eu, ev, ew = _edge_arrays(g)
+    eu, ev, ew = g.edge_arrays
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
     lengths = 1.0 / np.concatenate([ew, ew])
-    tol = GEO_TIE_TOL * (1.0 + spd.max())
+    slack = GEO_TIE_ULPS * n * np.finfo(np.float64).eps
     gb = np.zeros(n)
     block = max(1, BLOCK_CELLS // max(1, tails.size))
     for lo in range(0, n, block):
         d = spd[lo : lo + block]
         src = np.arange(lo, lo + len(d))
-        rows, e = np.nonzero(np.abs(d[:, tails] + lengths - d[:, heads]) <= tol)
+        gap = np.abs(d[:, tails] + lengths - d[:, heads])
+        rows, e = np.nonzero(gap <= slack * d[:, heads])
         # flat (source, node) indices of each DAG edge's ends
         tail, head = rows * n + tails[e], rows * n + heads[e]
         cells = src.size * n
@@ -114,7 +110,7 @@ def randomwalk_betweenness(g: Graph, b: SpectralBundle | None = None) -> np.ndar
     n = g.n
     if n < 3:
         return np.zeros(n)
-    eu, ev, ew = _edge_arrays(g)
+    eu, ev, ew = g.edge_arrays
     rank_coef = 2.0 * np.arange(n) - n + 1  # sum_{s<t} |x_s - x_t| = sort(x) @ rank_coef
     through = np.zeros(n)
     block = max(1, BLOCK_CELLS // n)

@@ -44,6 +44,12 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
+    def test_sparse_ids_exit_2(self, capsys, tmp_path):
+        sparse = tmp_path / "sparse.el"
+        sparse.write_text("0 1\n1 3000000\n")
+        code, _, err = run(capsys, "analyze", str(sparse))
+        assert code == 2 and "id 2 is missing" in err
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("0 0\n")
@@ -193,6 +199,24 @@ class TestTopologyCommands:
         assert code == 0
         from lapcent import load_edge_list
         assert load_edge_list(out).n == 5
+
+    def test_sensitivity_json_from_zero_is_null(self, capsys, tmp_path):
+        # gb_mean is 0 on K4 and 0.5 on C4: an infinite relative change
+        k4, c4 = tmp_path / "k4.el", tmp_path / "c4.el"
+        k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        c4.write_text("0 1\n1 2\n2 3\n0 3\n")
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        code, out, _ = run(capsys, "sensitivity", str(k4), str(c4), "--json")
+        assert code == 0
+        rep = json.loads(out, parse_constant=reject)
+        assert rep["deltas"]["gb_mean"] is None
+        assert rep["directions"]["gb_mean"] == "↑"
+        code, out, _ = run(capsys, "sensitivity", str(k4), str(c4))
+        assert code == 0
+        assert "gb_mean          0.000000     0.500000       +inf  ↑" in out
 
     def test_perturb_text_output(self, capsys, tmp_path):
         before = tmp_path / "g.el"

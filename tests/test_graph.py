@@ -55,6 +55,18 @@ class TestParse:
         with pytest.raises(EdgeListError, match="duplicate"):
             parse_edge_list("0 1\n0 1 3.0")
 
+    def test_graph_rule_names_its_line(self):
+        with pytest.raises(EdgeListError, match=r"line 3: duplicate edge \(1,0\)") as ei:
+            parse_edge_list("0 1\n1 2\n1 0")
+        assert ei.value.line == 3
+
+    @pytest.mark.parametrize("text, missing", [("0 1\n1 3000000", 2), ("1 2\n2 3", 0),
+                                               ("0 1\n3 4\n1 3", 2)],
+                             ids=["huge-gap", "no-zero", "inner-gap"])
+    def test_sparse_ids_rejected(self, text, missing):
+        with pytest.raises(GraphError, match=f"dense .*; id {missing} is missing"):
+            parse_edge_list(text)
+
     def test_comments_blank_lines_crlf(self):
         g = parse_edge_list("# comment\r\n0 1  # trailing\r\n\r\n1 2\r\n")
         assert g.m == 2
@@ -110,6 +122,14 @@ class TestConnectivity:
     def test_components_sorted(self):
         comps = components(Graph(5, [(3, 4), (0, 1)]))
         assert comps == [[0, 1], [2], [3, 4]]
+
+    def test_components_memo_survives_caller_edits(self):
+        g = Graph(5, [(3, 4), (0, 1)])
+        comps = components(g)
+        comps[0].append(9)
+        comps.pop()
+        assert components(g) == [[0, 1], [2], [3, 4]]
+        assert not is_connected(g)
 
 
 class TestShortestPaths:
@@ -213,6 +233,42 @@ def test_spd_is_a_metric(g):
     assert np.all(np.diag(spd) == 0)
     triangle = spd[:, :, None] - spd[:, None, :] - spd[None, :, :]
     assert triangle.max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(weighted=True))
+def test_derived_views_match_edge_loop(g):
+    """Every view equals a per-edge reference loop exactly and is read-only."""
+    a, d = np.zeros((g.n, g.n)), np.zeros(g.n)
+    nbrs = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        a[u, v] = a[v, u] = w
+        d[u] += w
+        d[v] += w
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    indptr, flat, cumw = [0], [], []
+    for row in nbrs:
+        acc = 0.0
+        for v, w in sorted(row):
+            acc += w
+            flat.append(v)
+            cumw.append(acc)
+        indptr.append(len(flat))
+    expected = {"adjacency": a, "degrees": d, "laplacian": np.diag(d) - a}
+    views = {name: getattr(g, name) for name in expected}
+    for name, want in expected.items():
+        assert np.array_equal(views[name], want), name
+    for got, want in zip(g.csr(), (indptr, flat, cumw)):
+        assert np.array_equal(got, want)
+    for got, want in zip(g.edge_arrays, zip(*g.edges)):
+        assert np.array_equal(got, want)
+    for arr in (*views.values(), *g.csr(), *g.edge_arrays):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert all(g.has_edge(v, u) for u, v, _ in g.edges)
+    assert sum(g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n)) == g.m
 
 
 @settings(max_examples=40, deadline=None)

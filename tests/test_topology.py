@@ -58,6 +58,13 @@ class TestGenerator:
             gen_core_gateway(TopologySpec(core_size=0, gateway_count=1,
                                           subnet_sizes=(1,)))
 
+    @pytest.mark.parametrize("pair, rule", [((21, 21), "self-loop"), ((5, 0), "duplicate"),
+                                            ((3, 65), "outside")])
+    def test_invalid_redundant_pair(self, pair, rule):
+        spec = TopologySpec(4, 10, (9, 9, 5, 4, 4, 4, 4, 4, 4, 4), redundant_pairs=(pair,))
+        with pytest.raises(ConstraintError, match=f"redundant pair rejected: .*{rule}"):
+            gen_core_gateway(spec)
+
     def test_failure_cut_sizes(self, preset):
         # losing the v5-v1 uplink strands 10 nodes before, 19 after pert1
         v = preset.index_of

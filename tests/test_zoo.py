@@ -49,6 +49,12 @@ class TestGeodesicBetweenness:
         gb = geodesic_betweenness(cycle_graph(4))
         assert np.allclose(gb, 0.5)
 
+    def test_near_tie_is_not_a_tie(self):
+        # the direct 0-2 edge is 1e-5 longer than 0-1-2; an absolute slack
+        # set by the 1e8-long edge to node 3 counted it as a second geodesic
+        g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1 / (2 + 1e-5)), (0, 3, 1e-8)])
+        assert geodesic_betweenness(g).tolist() == [2.0, 2.0, 0.0, 0.0]
+
 
 class TestSubgraphCentrality:
     def test_k3_eigenvalue_form(self):
