@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors
+(including a graph whose L+ float64 cannot resolve).
 Output for a fixed command line (including --seed) is byte-identical across
 runs.
 """

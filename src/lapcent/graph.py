@@ -114,8 +114,14 @@ class Graph:
 
     @cached_property
     def laplacian(self):
-        """Combinatorial Laplacian L = D - A."""
-        return _frozen(np.diag(self.degrees) - self.adjacency)
+        """Combinatorial Laplacian L = D - A, built from the edge arrays and
+        the degrees without forming the adjacency (the same bits)."""
+        u, v, w = self.edge_arrays
+        lap = np.zeros((self.n, self.n))
+        lap[u, v] = -w
+        lap[v, u] = -w
+        np.fill_diagonal(lap, self.degrees)
+        return _frozen(lap)
 
     @property
     def volume(self):
@@ -227,7 +233,15 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Canonical text form; parse(format(g)) round-trips exactly."""
+    """Canonical text form; parse(format(g)) round-trips exactly.
+
+    An edge list cannot express a node without edges, so a graph with an
+    isolated node raises instead of formatting to a file that parses to a
+    different graph or not at all.
+    """
+    isolated = np.flatnonzero(g.degrees == 0)
+    if isolated.size:
+        raise GraphError(f"node {isolated[0]} has no edges; an edge list cannot express it")
     lines = []
     weighted = not g.unweighted
     for u, v, w in g.edges:

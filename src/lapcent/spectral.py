@@ -2,29 +2,62 @@
 topological centrality C*(i) = 1/l+_ii and the graph-level Kirchhoff index
 K = Tr(L+).
 
-L+ comes from one route, the rank-correction inverse (L + J/n)^-1 - J/n,
-which needs one dense factorization and no spectrum. The eigen route and
-every cross-check between the two live in `lapcent.verify`. The Kirchhoff
-index here is the plain trace; some of the literature scales it by n, so
-reports record the convention.
+L+ comes from one route, a Cholesky factor of the shifted Laplacian
+M = L/s + J/n. M is symmetric positive definite, and M^-1 = s L+ + J/n, so
+with M = C C^T and F = C^-T
+
+    L+ = (F F^T - J/n) / s.
+
+The scale s is the power of two nearest the mean degree Vol/n: it keeps the
+rank-one shift on the scale of L whatever the weight units, and dividing by
+a power of two is exact. C is inverted by block recursion (LAPACK inverses
+of diagonal blocks of at most `LEAF` rows, matrix products for the rest).
+The diagonal of L+, which is all C* and K need, comes from the row norms of
+F; the n x n L+ is formed only when a caller reads `SpectralBundle.lplus`.
+
+Every bundle carries an a-posteriori certificate
+rho = n eps max(2 d_max, s) (Tr(L+) + 1/s). Gershgorin gives
+lambda_max <= 2 d_max and Tr(L+) >= 1/lambda_2, so rho / (n eps) bounds the
+condition number of M from above, and the error of the Cholesky inverse
+grows as that condition number times eps (Higham, *Accuracy and Stability
+of Numerical Algorithms*, ch. 10 and 14). A graph whose rho exceeds
+`RHO_MAX`, or is not finite, or whose factorization fails or yields a
+diagonal entry that is not positive, is refused with a GraphError instead
+of reported.
+
+The eigen route and every cross-check between the two live in
+`lapcent.verify`. The Kirchhoff index here is the plain trace; some of the
+literature scales it by n, so reports record the convention.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property, lru_cache
+
 import numpy as np
 
-from .graph import Graph, require_connected
+from .graph import Graph, GraphError, _frozen, require_connected
 
 KIRCHHOFF_CONVENTION = "trace"  # K = Tr(L+), no factor n
+LEAF = 128  # largest diagonal block inverted by LAPACK
+RHO_MAX = 1e-3  # largest accepted certificate rho
+EPS = float(np.finfo(np.float64).eps)
 
 
 class SpectralBundle:
-    """A connected graph and the Moore-Penrose pseudo-inverse lplus of its
-    Laplacian (symmetric, rows sum to zero)."""
+    """A connected graph and the Moore-Penrose pseudo-inverse of its
+    Laplacian, held as L+ = (F F^T - J/n) / scale with F upper triangular.
 
-    def __init__(self, graph, lplus):
+    `diag` is diag(L+) from the row norms of F; `lplus` is the n x n matrix
+    (symmetric, rows sum to zero, diagonal equal to `diag`), formed on first
+    use. Both are cached and read-only.
+    """
+
+    def __init__(self, graph, factor, scale):
         self.graph = graph
-        self.lplus = lplus
+        self.factor = _frozen(factor)
+        self.scale = scale
 
     @property
     def n(self):
@@ -34,39 +67,110 @@ class SpectralBundle:
     def laplacian(self):
         return self.graph.laplacian
 
+    @cached_property
+    def diag(self):
+        f = self.factor
+        return _frozen((np.einsum("ij,ij->i", f, f) - 1.0 / self.n) / self.scale)
+
+    @cached_property
+    def lplus(self):
+        f = self.factor
+        lp = f @ f.T  # one symmetric rank-k update
+        lp -= 1.0 / self.n
+        lp /= self.scale
+        np.fill_diagonal(lp, self.diag)
+        return _frozen(lp)
+
+
+@lru_cache(maxsize=LEAF)
+def _lower_mask(k):
+    return _frozen(np.tri(k))
+
+
+def _invert_lower(c):
+    """Overwrite the lower-triangular c with its inverse.
+
+    With c = [[A, 0], [B, D]], c^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]].
+    A pivoted LU inverse of a leaf can leave rounding noise above the
+    diagonal; the mask zeroes it.
+    """
+    n = len(c)
+    if n <= LEAF:
+        np.multiply(np.linalg.inv(c), _lower_mask(n), out=c)
+        return
+    h = n // 2
+    a, b, d = c[:h, :h], c[h:, :h], c[h:, h:]
+    _invert_lower(a)
+    _invert_lower(d)
+    np.matmul(d, b @ a, out=b)
+    np.negative(b, out=b)
+
+
+def _shift_scale(mean_degree):
+    """The power of two nearest the mean degree, within the float64 range."""
+    if not 0.0 < mean_degree < math.inf:
+        return 1.0
+    return math.ldexp(1.0, min(max(round(math.log2(mean_degree)), -1074), 1023))
+
+
+def certificate(b: SpectralBundle) -> float:
+    """rho = n eps max(2 d_max, s) (Tr(L+) + 1/s), which is n eps times an
+    upper bound on the condition number of L/s + J/n."""
+    s = b.scale
+    return b.n * EPS * max(2.0 * float(b.graph.degrees.max()), s) * (float(b.diag.sum()) + 1.0 / s)
+
+
+def _unresolved(g: Graph, why: str) -> GraphError:
+    w = g.edge_arrays[2]
+    return GraphError(f"L+ is beyond float64 resolution: {why} "
+                      f"(edge weights span {w.min():.3g} to {w.max():.3g})")
+
 
 def build_spectral(g: Graph) -> SpectralBundle:
-    """L+ = sym((L + J/n)^-1 - J/n) from the graph's Laplacian.
+    """The L+ bundle of a connected graph, certified (see the module notes).
 
     Connectivity is decided by breadth-first search (authoritative); a
-    disconnected graph raises naming the second component.
+    disconnected graph raises naming the second component. A graph whose
+    L+ float64 cannot resolve raises GraphError naming rho.
     """
     require_connected(g, "spectral bundle")
     n = g.n
-    lplus = np.linalg.inv(g.laplacian + 1.0 / n) - 1.0 / n
-    lplus = (lplus + lplus.T) / 2.0
-    return SpectralBundle(g, lplus)
+    s = _shift_scale(g.volume / n)
+    with np.errstate(all="ignore"):
+        try:
+            c = np.linalg.cholesky(g.laplacian / s + 1.0 / n)
+        except np.linalg.LinAlgError:
+            raise _unresolved(g, "rho = nan, the Cholesky factorization failed") from None
+        _invert_lower(c)
+        b = SpectralBundle(g, c.T, s)
+        rho = certificate(b)
+    if not math.isfinite(rho):
+        raise _unresolved(g, f"certificate rho = {rho:.3g} is not finite")
+    if rho > RHO_MAX:
+        raise _unresolved(g, f"certificate rho = {rho:.3g} exceeds {RHO_MAX:g}")
+    if not b.diag.min() > 0.0:
+        raise _unresolved(g, f"rho = {rho:.3g}, but min diag(L+) = {b.diag.min():.3g} <= 0")
+    return b
 
 
 def topological_centrality(b: SpectralBundle) -> np.ndarray:
     """C*(i) = 1 / l+_ii."""
-    return 1.0 / np.diag(b.lplus)
+    return 1.0 / b.diag
 
 
 def kirchhoff_index(b: SpectralBundle):
     """(K, K*) with K = Tr(L+) and K* = 1/K."""
-    k = float(np.trace(b.lplus))
+    k = float(b.diag.sum())
     return k, 1.0 / k
 
 
 def effective_resistance(b: SpectralBundle, i: int, j: int) -> float:
     """Resistance distance l+_ii + l+_jj - 2 l+_ij."""
-    lp = b.lplus
-    return float(lp[i, i] + lp[j, j] - 2.0 * lp[i, j])
+    return float(b.diag[i] + b.diag[j] - 2.0 * b.lplus[i, j])
 
 
 def resistance_matrix(b: SpectralBundle) -> np.ndarray:
-    d = np.diag(b.lplus)
+    d = b.diag
     return d[:, None] + d[None, :] - 2.0 * b.lplus
 
 
@@ -79,7 +183,7 @@ def spectral_report(b: SpectralBundle) -> dict:
     k, kstar = kirchhoff_index(b)
     evals = np.linalg.eigvalsh(b.laplacian)[::-1]
     evals[-1] = 0.0
-    diag = np.diag(b.lplus)
+    diag = b.diag
     nodes = [
         {
             "id": i,

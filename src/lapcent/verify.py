@@ -232,7 +232,7 @@ def check_detour_average(g):
     """Average forced-detour overhead through k equals l+_kk."""
     b = build_spectral(g)
     ht = hitting_times_exact(g)
-    return max(abs(average_detour_overhead(g, k, ht=ht) - b.lplus[k, k]) for k in range(g.n))
+    return max(abs(average_detour_overhead(g, k, ht=ht) - b.diag[k]) for k in range(g.n))
 
 
 @Sweep("commute-resistance", 100, 4, 12, "100 random connected graphs", tol=1e-9)
@@ -321,7 +321,7 @@ class EigenRoute:
 
 
 def eigen_route(lap: np.ndarray) -> EigenRoute:
-    """The eigen route to L+, independent of `build_spectral`'s inverse."""
+    """The eigen route to L+, independent of `build_spectral`'s Cholesky factor."""
     evals_asc, vecs_asc = np.linalg.eigh(lap)
     evals, vecs = evals_asc[::-1].copy(), vecs_asc[:, ::-1].copy()
     inv = np.zeros(len(evals))
@@ -388,7 +388,7 @@ def _forest_sample(records):
 def check_forest_diagonal(g):
     """Forest-census diagonal equals the spectral diagonal."""
     forest = np.array([float(x) for x in lplus_diag_fractions(g)])
-    return float(np.max(np.abs(forest - np.diag(build_spectral(g).lplus))))
+    return float(np.max(np.abs(forest - build_spectral(g).diag)))
 
 
 @Sweep("census-disjointness", 100, 3, 7, "{} violations in 100 graphs (exact integers)",
@@ -405,7 +405,7 @@ def check_tree_partition(t):
     """Tree partition formula matches the spectral diagonal; the argmax-C*
     set is the tree center set (a miss adds 1.0)."""
     b = build_spectral(t)
-    gap = float(np.max(np.abs(tree_centrality(t) - np.diag(b.lplus))))
+    gap = float(np.max(np.abs(tree_centrality(t) - b.diag)))
     cstar = topological_centrality(b)
     if tuple(np.flatnonzero(cstar >= cstar.max() * (1.0 - CENTER_RTOL))) != tree_center(t):
         gap += 1.0
@@ -426,11 +426,11 @@ def check_commute_rowsum(g):
     exact hitting times and the right sides from the pseudo-inverse."""
     b = build_spectral(g)
     ht = hitting_times_exact(g)
-    trace = np.trace(b.lplus)
+    trace = b.diag.sum()
     res = 0.0
     for k in range(g.n):
         row = float(ht.C[k, :].sum())
-        res = max(res, abs(row - float(ht.vol * (g.n * b.lplus[k, k] + trace))))
+        res = max(res, abs(row - float(ht.vol * (g.n * b.diag[k] + trace))))
     kirchhoff = float(ht.C.sum() / (2.0 * g.n * ht.vol))
     return max(res, abs(kirchhoff - float(trace)))
 

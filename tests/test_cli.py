@@ -1,9 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lapcent import Graph, SpectralBundle
 from lapcent.cli import main
 
 P3 = "0 1\n1 2\n"
@@ -75,6 +83,71 @@ class TestAnalyze:
         i = np.arange(n)
         closed = np.abs(i[:, None] - i[None, :]).sum(axis=1) / n - (n * n - 1) / (6 * n)
         assert np.max(np.abs(diag - closed) / np.abs(closed)) <= 1e-9
+
+
+    def test_large_weights_keep_k(self, capsys, tmp_path):
+        # the unscaled rank-one shift printed K = -7.98e-8 here at exit 0
+        path = tmp_path / "p3.el"
+        path.write_text("0 1 1e9\n1 2 1e9\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        k = json.loads(out)["graph"]["kirchhoff"]
+        assert abs(k / (4 / 3e9) - 1) <= 1e-15
+
+    @pytest.mark.parametrize("text, match", [
+        ("0 1 1\n1 2 1e-14\n", "rho = 0.0886 exceeds 0.001"),
+        ("0 1 1\n1 2 1e-17\n", "rho = 18 exceeds 0.001"),
+        ("0 1 1e-310\n", "rho = nan is not finite"),
+    ], ids=["p3-1e-14", "p3-1e-17", "subnormal"])
+    def test_unresolvable_lplus_exit_2(self, capsys, tmp_path, text, match):
+        path = tmp_path / "g.el"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path), "--json")
+        assert code == 2 and out == ""
+        assert match in err and "edge weights span" in err
+
+    def test_analyze_forms_neither_lplus_nor_adjacency(self, capsys, p3_file, monkeypatch):
+        def refuse(self):
+            raise AssertionError("analyze formed an n x n matrix it does not need")
+
+        monkeypatch.setattr(SpectralBundle, "lplus", property(refuse))
+        monkeypatch.setattr(Graph, "adjacency", property(refuse))
+        for fmt in ((), ("--json",), ("--csv",)):
+            code, out, _ = run(capsys, "analyze", p3_file, *fmt)
+            assert code == 0 and out
+
+
+@st.composite
+def wide_weight_graphs(draw):
+    """Connected graphs (a random tree plus extra edges) with weights 10^U(-20, 3)."""
+    n = draw(st.integers(2, 9))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] < p[1]), max_size=n)))
+    exps = draw(st.lists(st.floats(-20.0, 3.0), min_size=len(pairs), max_size=len(pairs)))
+    return "".join(f"{u} {v} {10.0 ** e!r}\n" for (u, v), e in zip(sorted(pairs), exps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_weight_graphs())
+def test_analyze_exits_0_with_finite_numbers_or_2_with_a_message(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.el")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", path, "--json"])
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        return
+    assert code == 0 and err.getvalue() == ""
+    rep = json.loads(out.getvalue())
+    numbers = [rep["graph"]["kirchhoff"], rep["graph"]["kstar"], *rep["graph"]["eigenvalues"]]
+    numbers += [node[key] for node in rep["nodes"] for key in ("lplus_diag", "cstar")]
+    assert all(math.isfinite(x) for x in numbers)
+    assert rep["graph"]["kirchhoff"] > 0
+    assert all(node["lplus_diag"] > 0 for node in rep["nodes"])
 
 
 class TestCompare:
@@ -250,11 +323,11 @@ PRESET_PINS = {
 # SHA-256 of `sensitivity` stdout between the preset and its rewirings.
 SENSITIVITY_PINS = {
     ("preset", "pert1"): "f540a6d71c07ae0aa91c6e65fc9530144b71b28a3c65da7fbb16a29c9ea8ae44",
-    ("pert1", "pert2", "--json"): "1f52aa279454865a1a96e6a3db187b37d7c4cbc197d785dfa209920c02f15383",
+    ("pert1", "pert2", "--json"): "046f28f8679a5179de85322bdacb4fc7d4da872a6d104b672506637d64f4835e",
 }
 
 # SHA-256 of `verify --seed 42` stdout.
-VERIFY_SEED_42_PIN = "294e47506d74cbfd7237e5fc98908ac9b66518eb23f15b677fda9caec7c52625"
+VERIFY_SEED_42_PIN = "af65a61b1a2dc130fed02c1504163d8c6ddcb5e82bba7bae6ae29eb71de7acbd"
 
 
 def sha256(text):

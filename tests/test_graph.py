@@ -80,6 +80,15 @@ class TestParse:
         again = parse_edge_list(format_edge_list(g))
         assert again.edges == g.edges
 
+    @pytest.mark.parametrize("g, node", [
+        (Graph(5, [(3, 4), (0, 1)]), 2),   # used to format to a file parse rejects
+        (Graph(3, [(0, 1, 2.0)]), 2),      # a trailing isolated node was dropped
+        (Graph(1, []), 0),
+    ], ids=["inner", "trailing", "single"])
+    def test_isolated_node_cannot_be_formatted(self, g, node):
+        with pytest.raises(GraphError, match=f"node {node} has no edges"):
+            format_edge_list(g)
+
 
 class TestGraphInvariants:
     def test_adjacency_symmetric_zero_diagonal(self):

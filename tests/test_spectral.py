@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from lapcent import (DisconnectedError, Graph, build_spectral,
-                     effective_resistance, kirchhoff_index, resistance_matrix,
-                     spectral_report, topological_centrality)
-from lapcent.verify import eigen_route
+import networkx as nx
 
-from helpers import (complete_graph, path_graph, random_connected,
+from lapcent import (DisconnectedError, Graph, GraphError, abilene_topology,
+                     build_spectral, effective_resistance, kirchhoff_index,
+                     resistance_matrix, spectral_report, topological_centrality)
+from lapcent import spectral
+from lapcent.spectral import LEAF, RHO_MAX, certificate
+from lapcent.verify import ALL_CHECKS, VerifyConfig, eigen_route
+
+from helpers import (complete_graph, path_graph, random_connected, ring_chords,
                      star_graph, wide_weight_cycle)
 
 
@@ -78,9 +84,11 @@ class TestCentrality:
         assert np.allclose(topological_centrality(b), [4.5, 4.5, 4.5])
 
     def test_p3(self):
+        # each entry within 4 ulps of the exact value; the two ends need not
+        # be bit-equal mirrors of each other
         c = topological_centrality(build_spectral(path_graph(3)))
-        assert c[1] == pytest.approx(4.5)
-        assert c[0] == c[2] == pytest.approx(1.8)
+        exact = np.array([9 / 5, 9 / 2, 9 / 5])
+        assert np.all(np.abs(c - exact) <= 4 * np.spacing(exact))
 
     def test_star4(self):
         c = topological_centrality(build_spectral(star_graph(4)))
@@ -159,3 +167,111 @@ class TestReport:
         assert [n["label"] for n in rep["nodes"]] == ["a", "b", "c"]
         assert rep["nodes"][1]["cstar"] == pytest.approx(4.5)
         assert len(rep["graph"]["eigenvalues"]) == 3
+
+
+class TestCholeskyRoute:
+    @pytest.mark.parametrize("n", [257, 300])
+    def test_uneven_recursion_matches_networkx(self, n):
+        # 257 splits 128/129, then 129 splits 64/65; 300 splits 150, then 75
+        g = ring_chords(np.random.default_rng(n), n, lambda rng, m: rng.uniform(0.2, 3.0, m))
+        G = nx.Graph()
+        G.add_weighted_edges_from(g.edges)
+        ref = nx.resistance_distance(G, weight="weight", invert_weight=False)
+        ref = np.array([[ref[i][j] for j in range(n)] for i in range(n)])
+        omega = resistance_matrix(build_spectral(g))
+        assert np.max(np.abs(omega - ref)) <= 1e-12 * np.max(ref)
+
+    def test_inv_only_on_leaf_blocks(self, monkeypatch):
+        sizes = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            sizes.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        g = ring_chords(np.random.default_rng(1), 300, lambda rng, m: np.ones(m))
+        build_spectral(g)
+        assert sizes and all(r == c <= LEAF for r, c in sizes)
+        assert sum(r for r, _ in sizes) == 300
+
+    def test_diag_is_the_lplus_diagonal_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 7, 130):
+            b = build_spectral(random_connected(rng, n, weighted=True))
+            assert np.array_equal(b.diag, np.diag(b.lplus))
+            assert np.array_equal(b.lplus, b.lplus.T)
+            for arr in (b.diag, b.lplus, b.factor):
+                assert not arr.flags.writeable
+
+    def test_resistance_diagonal_is_exactly_zero(self):
+        g = random_connected(np.random.default_rng(13), 11, weighted=True)
+        assert np.all(np.diag(resistance_matrix(build_spectral(g))) == 0.0)
+
+    def test_factor_is_upper_triangular(self):
+        g = ring_chords(np.random.default_rng(2), 200, lambda rng, m: rng.uniform(0.2, 3.0, m))
+        f = build_spectral(g).factor
+        assert np.all(np.tril(f, -1) == 0.0)
+
+    @pytest.mark.parametrize("w", [1e6, 1e9, 1e15])
+    def test_weight_scale_does_not_cost_accuracy(self, w):
+        # the unscaled shift L + J/n gave K = -7.98e-8 at w = 1e9
+        b = build_spectral(Graph(3, [(0, 1, w), (1, 2, w)]))
+        exact = np.array([5 / 9, 2 / 9, 5 / 9]) / w
+        assert np.max(np.abs(b.diag - exact) / exact) <= 1e-15
+        assert abs(kirchhoff_index(b)[0] * w * 3 / 4 - 1) <= 1e-15
+
+
+def _p3(a, b):
+    return Graph(3, [(0, 1, a), (1, 2, b)])
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("g, lo, hi", [
+        (_p3(1.0, 1e-12), 8e-4, 9e-4),
+        (abilene_topology(), 1e-11, 1e-10),
+        (wide_weight_cycle()[0], 1e-6, 2e-6),
+        (path_graph(800), 7e-8, 8e-8),
+    ], ids=["p3-1e-12", "preset", "wide-weight-cycle", "path-800"])
+    def test_accepted(self, g, lo, hi):
+        b = build_spectral(g)
+        assert lo <= certificate(b) <= hi <= RHO_MAX
+
+    def test_accepted_value_is_within_rho(self):
+        k, _ = kirchhoff_index(build_spectral(_p3(1.0, 1e-12)))
+        exact = (2.0 + 2e12) / 3.0
+        assert abs(k - exact) / exact <= certificate(build_spectral(_p3(1.0, 1e-12)))
+
+    @pytest.mark.parametrize("g, match", [
+        (_p3(1.0, 1e-14), r"rho = 0\.0886 exceeds 0\.001 \(edge weights span 1e-14 to 1\)"),
+        (_p3(1.0, 1e-17), r"rho = 18 exceeds"),
+        (Graph(2, [(0, 1, 1e-310)]), r"rho = nan is not finite"),
+    ], ids=["p3-1e-14", "p3-1e-17", "subnormal"])
+    def test_refused(self, g, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match=match):
+                build_spectral(g)
+
+    def test_failed_factorization_is_refused(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(GraphError, match="Cholesky factorization failed"):
+            build_spectral(path_graph(3))
+
+    def test_nonpositive_diagonal_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spectral.SpectralBundle, "diag",
+                            property(lambda b: np.array([1.0, 0.0, 1.0])))
+        with pytest.raises(GraphError, match=r"min diag\(L\+\) = 0 <= 0"):
+            build_spectral(path_graph(3))
+
+    def test_verify_instances_are_far_inside_the_bound(self):
+        worst = 0.0
+        for _, check in ALL_CHECKS:
+            sweep = getattr(check, "sweep", None)
+            if sweep is not None:
+                for g in sweep.instances(VerifyConfig().seed):
+                    worst = max(worst, certificate(build_spectral(g)))
+        assert 0.0 < worst <= 1e-12
