@@ -4,23 +4,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors
 (including a graph whose L+ float64 cannot resolve).
 Output for a fixed command line (including --seed) is byte-identical across
 runs.
+Each command imports the modules it runs, so a command loads only those,
+and `--help` or a usage error loads no numpy-backed module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-from .electrical import export_netlist
-from .graph import GraphError, format_edge_list, load_edge_list, require_nodes
-from .spectral import build_spectral, spectral_report
-from .topology import (ABILENE_PRESET, TopologySpec, export_dot, gen_core_gateway,
-                       abilene_topology, pert_preset, sensitivity_report)
-from .verify import VerifyConfig, run_checks
-from .walks import (CONVENTIONS, approx_commute_dense, approx_hitting_dense,
-                    estimate_hitting_mc, hitting_times_exact)
-from .zoo import centrality_report
 
 
 def _write(text: str, path: str | None):
@@ -32,10 +23,15 @@ def _write(text: str, path: str | None):
 
 
 def _dump_json(obj, path):
+    import json
+
     _write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def cmd_analyze(args) -> int:
+    from .graph import load_edge_list
+    from .spectral import build_spectral, spectral_report
+
     g = load_edge_list(args.graph)
     report = spectral_report(build_spectral(g))
     if args.json:
@@ -60,6 +56,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .graph import load_edge_list
+    from .zoo import centrality_report
+
     g = load_edge_list(args.graph)
     rep = centrality_report(g)
     rows = rep.csv_rows(g)
@@ -68,6 +67,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_hitting(args) -> int:
+    from .graph import load_edge_list, require_nodes
+    from .walks import (approx_commute_dense, approx_hitting_dense, estimate_hitting_mc,
+                        hitting_times_exact)
+
     g = load_edge_list(args.graph)
     i, j = args.source, args.target
     require_nodes(g, i, j)
@@ -89,12 +92,18 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_een_export(args) -> int:
+    from .electrical import export_netlist
+    from .graph import load_edge_list
+
     g = load_edge_list(args.graph)
     _write(export_netlist(g), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .graph import format_edge_list
+    from .verify import VerifyConfig, run_checks
+
     cfg = VerifyConfig(seed=args.seed, tolerance=args.tolerance, max_n=args.n)
     results = run_checks(cfg, only=args.only)
     if not results:
@@ -115,18 +124,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .graph import format_edge_list
+    from .topology import ABILENE_PRESET, TopologySpec, abilene_topology, gen_core_gateway
+
     if args.preset == "abilene":
         g = abilene_topology()
     else:
         sizes = tuple(int(x) for x in args.subnets.split(",")) if args.subnets else ()
-        spec = TopologySpec(core_size=args.core, gateway_count=args.gateways,
-                            subnet_sizes=sizes)
+        core = ABILENE_PRESET.core_size if args.core is None else args.core
+        gateways = ABILENE_PRESET.gateway_count if args.gateways is None else args.gateways
+        spec = TopologySpec(core_size=core, gateway_count=gateways, subnet_sizes=sizes)
         g = gen_core_gateway(spec)
     _write(format_edge_list(g), args.output)
     return 0
 
 
 def cmd_perturb(args) -> int:
+    from .graph import format_edge_list, load_edge_list
+    from .topology import pert_preset
+
     g = load_edge_list(args.graph)
     out = pert_preset(g, args.preset)
     _write(format_edge_list(out), args.output)
@@ -134,6 +150,9 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    from .graph import load_edge_list
+    from .topology import sensitivity_report
+
     before = load_edge_list(args.before)
     after = load_edge_list(args.after)
     rep = sensitivity_report(before, after)
@@ -149,6 +168,10 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from .graph import GraphError, load_edge_list
+    from .topology import export_dot
+    from .zoo import centrality_report
+
     g = load_edge_list(args.graph)
     rep = centrality_report(g)
     if args.metric not in rep.PER_NODE:
@@ -189,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("exact", "mc", "approx"), default="exact")
     sp.add_argument("--runs", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--convention", choices=CONVENTIONS, default="source-degree")
+    sp.add_argument("--convention", choices=("source-degree", "target-degree"),
+                    default="source-degree")
     add_output(sp)
     sp.set_defaults(fn=cmd_hitting)
 
@@ -211,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="generate a core/gateway topology")
     sp.add_argument("--preset", choices=("abilene",), default=None,
                     help="bundled 65-node preset")
-    sp.add_argument("--core", type=int, default=ABILENE_PRESET.core_size)
-    sp.add_argument("--gateways", type=int, default=ABILENE_PRESET.gateway_count)
+    # None: the preset's value, filled in by cmd_gen
+    sp.add_argument("--core", type=int, default=None)
+    sp.add_argument("--gateways", type=int, default=None)
     sp.add_argument("--subnets", default=None,
                     help="comma-separated subnet sizes, one per gateway")
     add_output(sp)
@@ -243,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .graph import GraphError
+
     try:
         return args.fn(args)
     except (GraphError, OSError, ValueError) as exc:

@@ -92,12 +92,15 @@ class WalkEstimate:
                 "runs": self.runs, "seed": self.seed}
 
 
-def _check_walk_args(g: Graph, i: int, j: int, runs: int, what: str):
+def _check_walk_args(g: Graph, i: int, j: int, runs: int, seed: int, what: str):
     """Reject what no walk i -> j can run on: a disconnected graph, fewer
-    than one run, node ids outside 0..n-1, or i == j."""
+    than one run, a seed outside the kernels' uint64 range, node ids outside
+    0..n-1, or i == j."""
     require_connected(g, what)
     if runs < 1:
         raise GraphError("runs must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise GraphError(f"seed must be in [0, 2**64), got {seed}")
     require_nodes(g, i, j)
     if i == j:
         raise GraphError("source and target must differ")
@@ -106,7 +109,7 @@ def _check_walk_args(g: Graph, i: int, j: int, runs: int, what: str):
 def simulate_hitting_steps(g: Graph, i: int, j: int, runs: int, seed: int,
                            run_start: int = 0, cap: int = STEP_CAP) -> np.ndarray:
     """Raw per-run step counts; deterministic in (seed, run index) only."""
-    _check_walk_args(g, i, j, runs, "simulate_hitting_steps")
+    _check_walk_args(g, i, j, runs, seed, "simulate_hitting_steps")
     indptr, nbrs, cumw = g.csr()
     steps = _kernels.walk_steps(indptr, nbrs, cumw, i, j, runs, seed,
                                 run_start=run_start, cap=cap)
@@ -125,7 +128,7 @@ def estimate_hitting_mc(g: Graph, i: int, j: int, runs: int, seed: int,
     so memory does not grow with `runs`. std_error is the sample standard
     deviation over sqrt(runs); it is 0.0 for a single run.
     """
-    _check_walk_args(g, i, j, runs, "estimate_hitting_mc")
+    _check_walk_args(g, i, j, runs, seed, "estimate_hitting_mc")
     # a block's int64 sum of squares stays exact while block * cap**2 < 2**63
     block = max(1, min(_kernels.RUN_BLOCK, (2**63 - 1) // cap**2))
     total = total_sq = 0
@@ -152,7 +155,7 @@ class VisitEstimate:
 
 def estimate_visits_mc(g: Graph, i: int, j: int, runs: int, seed: int,
                        cap: int = STEP_CAP) -> VisitEstimate:
-    _check_walk_args(g, i, j, runs, "estimate_visits_mc")
+    _check_walk_args(g, i, j, runs, seed, "estimate_visits_mc")
     indptr, nbrs, cumw = g.csr()
     sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, i, j,
                                                runs, seed, cap=cap)

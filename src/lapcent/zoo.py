@@ -20,16 +20,18 @@ A block holds at most BLOCK_CELLS array cells, so memory stays O(n^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, shortest_path_distances
+from .graph import Graph, GraphError, shortest_path_distances
 from .spectral import (SpectralBundle, build_spectral, kirchhoff_index,
                        topological_centrality)
 
 GEO_TIE_ULPS = 4  # tie slack per summed length, in units of eps * spd
 BLOCK_CELLS = 2**20  # array cells per block of sources (gb) or of edges (rb)
+LOG_DBL_MAX = math.log(np.finfo(np.float64).max)  # 709.78: exp overflows above it
 
 
 def geodesic_closeness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
@@ -91,8 +93,17 @@ def geodesic_betweenness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
 
 
 def subgraph_centrality(g: Graph) -> np.ndarray:
-    """Closed-walk centrality SC(i) = sum_k (A^k)_ii / k! = sum_j u_ji^2 e^mu_j."""
+    """Closed-walk centrality SC(i) = sum_k (A^k)_ii / k! = sum_j u_ji^2 e^mu_j.
+
+    sum_i SC(i) = Tr exp(A) <= n e^lambda_max(A), so every SC(i) and their
+    sum (hence the mean) are finite while lambda_max(A) <= log(DBL_MAX / n);
+    a larger lambda_max(A) is refused with a GraphError.
+    """
     mu, vecs = np.linalg.eigh(g.adjacency)
+    limit = LOG_DBL_MAX - math.log(g.n)
+    if mu[-1] > limit:
+        raise GraphError(f"subgraph centrality overflows float64: lambda_max(A) = "
+                         f"{mu[-1]:.6g} exceeds log(DBL_MAX / n) = {limit:.6g}")
     return (vecs**2) @ np.exp(mu)
 
 

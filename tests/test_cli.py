@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -128,26 +129,66 @@ def wide_weight_graphs(draw):
     return "".join(f"{u} {v} {10.0 ** e!r}\n" for (u, v), e in zip(sorted(pairs), exps))
 
 
-@settings(max_examples=60, deadline=None)
-@given(wide_weight_graphs())
-def test_analyze_exits_0_with_finite_numbers_or_2_with_a_message(text):
+def run_on_graph(text, *argv):
+    """(exit code, stdout, stderr) of one command; "{}" in argv is the path
+    of a file holding `text`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.el")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", path, "--json"])
+            code = main([a.replace("{}", path) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def refused_with_a_message(code, out, err):
+    """True for exit 2 with one `error: ` message and no output; otherwise
+    asserts exit 0 and an empty stderr."""
     if code == 2:
-        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        assert err.startswith("error: ") and out == ""
+        return True
+    assert code == 0 and err == ""
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_weight_graphs())
+def test_analyze_exits_0_with_finite_numbers_or_2_with_a_message(text):
+    code, out, err = run_on_graph(text, "analyze", "{}", "--json")
+    if refused_with_a_message(code, out, err):
         return
-    assert code == 0 and err.getvalue() == ""
-    rep = json.loads(out.getvalue())
+    rep = json.loads(out)
     numbers = [rep["graph"]["kirchhoff"], rep["graph"]["kstar"], *rep["graph"]["eigenvalues"]]
     numbers += [node[key] for node in rep["nodes"] for key in ("lplus_diag", "cstar")]
     assert all(math.isfinite(x) for x in numbers)
     assert rep["graph"]["kirchhoff"] > 0
     assert all(node["lplus_diag"] > 0 for node in rep["nodes"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_weight_graphs())
+def test_compare_sensitivity_hitting_exit_0_with_finite_numbers_or_2_with_a_message(text):
+    n = len({tok for line in text.splitlines() for tok in line.split()[:2]})
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    code, out, err = run_on_graph(text, "compare", "{}")
+    if not refused_with_a_message(code, out, err):
+        rows = [line.split(",")[2:] for line in out.splitlines()[1:]]
+        assert len(rows) == n and all(math.isfinite(float(x)) for row in rows for x in row)
+
+    code, out, err = run_on_graph(text, "sensitivity", "{}", "{}", "--json")
+    if not refused_with_a_message(code, out, err):
+        rep = json.loads(out, parse_constant=reject)
+        numbers = [*rep["before"].values(), *rep["after"].values(), *rep["deltas"].values()]
+        assert all(math.isfinite(x) for x in numbers)
+
+    code, out, err = run_on_graph(text, "hitting", "{}", "-i", "0", "-j", str(n - 1))
+    if not refused_with_a_message(code, out, err):
+        rep = json.loads(out, parse_constant=reject)
+        assert math.isfinite(rep["hitting"]) and math.isfinite(rep["commute"])
 
 
 class TestCompare:
@@ -157,6 +198,19 @@ class TestCompare:
         lines = out.splitlines()
         assert lines[0].startswith("node,label,degree,degree_norm")
         assert len(lines) == 4
+
+    def test_subgraph_overflow_exit_2_without_a_warning(self, capsys, tmp_path):
+        # used to print sc = inf and sc_norm = nan at exit 0 (compare), or
+        # exit 2 on a non-finite JSON value (sensitivity)
+        path = tmp_path / "heavy.el"
+        path.write_text("0 1 800\n1 2 1\n")
+        for argv in (["compare", str(path)], ["sensitivity", str(path), str(path), "--json"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == ("error: subgraph centrality overflows float64: lambda_max(A) = "
+                           "800.001 exceeds log(DBL_MAX / n) = 708.684\n")
 
 
 class TestHitting:
@@ -198,6 +252,14 @@ class TestHitting:
                                  "--method", method, "--runs", "10")
             assert code == 2 and out == ""
             assert "outside 0..2" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_uint64_exit_2(self, capsys, p3_file, seed):
+        # used to end in an OverflowError traceback with exit 1
+        code, out, err = run(capsys, "hitting", p3_file, "-i", "0", "-j", "2",
+                             "--method", "mc", "--runs", "10", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
 
 
 class TestEen:

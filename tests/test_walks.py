@@ -269,6 +269,19 @@ class TestMonteCarlo:
         with pytest.raises(DisconnectedError):
             estimate_visits_mc(Graph(4, [(0, 1), (2, 3)]), 0, 1, 10, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_raises(self, seed):
+        # the kernels seed a uint64 stream; these used to raise OverflowError
+        g = path_graph(3)
+        for fn in (estimate_hitting_mc, simulate_hitting_steps, estimate_visits_mc):
+            with pytest.raises(GraphError, match=r"seed must be in \[0, 2\*\*64\)"):
+                fn(g, 0, 2, 10, seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        g = path_graph(3)
+        for seed in (0, 2**64 - 1):
+            assert estimate_visits_mc(g, 0, 2, 10, seed=seed).seed == seed
+
 
 class TestDenseApproximation:
     def test_k4(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lapcent import (Graph, abilene_topology, build_spectral, centrality_report,
                      randic_index, randomwalk_betweenness,
                      subgraph_centrality)
 from lapcent import zoo
+from lapcent.graph import GraphError
 from lapcent.verify import randomwalk_betweenness_by_solves
 
 from helpers import (complete_graph, cycle_graph, path_graph,
@@ -83,6 +85,23 @@ class TestSubgraphCentrality:
                 term = term @ a / k
                 series += np.diag(term)
             assert np.max(np.abs(subgraph_centrality(g) - series)) <= 1e-9
+
+    def test_overflow_is_refused_without_a_warning(self):
+        # lambda_max(A) = sqrt(800^2 + 1): exp overflows, and sc used to be inf
+        g = Graph(3, [(0, 1, 800.0), (1, 2, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match=r"lambda_max\(A\) = 800\.001 exceeds "
+                                                 r"log\(DBL_MAX / n\) = 708\.684"):
+                subgraph_centrality(g)
+
+    def test_largest_finite_sum(self):
+        # lambda_max(A) = w on a single edge; the limit is log(DBL_MAX / 2)
+        w = zoo.LOG_DBL_MAX - math.log(2.0)
+        sc = subgraph_centrality(Graph(2, [(0, 1, w)]))
+        assert np.all(np.isfinite(sc)) and np.isfinite(sc.sum())
+        with pytest.raises(GraphError):
+            subgraph_centrality(Graph(2, [(0, 1, w * (1 + 1e-9))]))
 
 
 class TestRandomWalkBetweenness:
