@@ -32,6 +32,9 @@ _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 RUN_BLOCK = 65536      # walks simulated side by side
 VISIT_CELLS = 1 << 21  # per-run visit counters held at once (runs x nodes)
 TREE_BLOCK = 8192      # Pruefer sequences decoded side by side
+STEP_CAP = 10**7       # steps a run may take before it counts as capped
+# A block's int64 sum of squared step counts stays exact while
+# RUN_BLOCK * STEP_CAP**2 < 2**63.
 
 
 def _mix64(z):
@@ -64,9 +67,9 @@ def _pick(cumw, lo, last, target, rounds):
     return lo
 
 
-def _walk_block(indptr, nbrs, cumw, src, dst, first_run, count, seed, cap, visits=None):
+def _walk_block(indptr, nbrs, cumw, src, dst, first_run, count, seed, visits=None):
     """Step counts of `count` runs src -> dst simulated in lockstep; -1 marks
-    a run still walking after `cap` steps.
+    a run still walking after STEP_CAP steps.
 
     Runs are first_run, first_run+1, ...; each draws one uniform per step
     from its own stream. If `visits` (count x n) is given, visits[r, u]
@@ -84,7 +87,7 @@ def _walk_block(indptr, nbrs, cumw, src, dst, first_run, count, seed, cap, visit
             steps[live[arrived]] = k
             walking = ~arrived
             live, u, state = live[walking], u[walking], state[walking]
-        if live.size == 0 or k == cap:
+        if live.size == 0 or k == STEP_CAP:
             return steps
         if visits is not None:
             visits[live, u] += 1
@@ -95,7 +98,7 @@ def _walk_block(indptr, nbrs, cumw, src, dst, first_run, count, seed, cap, visit
         k += 1
 
 
-def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0, cap=10**7):
+def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0):
     """Step counts of simulated walks src -> dst; -1 marks a capped run.
 
     Runs are run_start, run_start+1, ..., simulated RUN_BLOCK at a time.
@@ -104,11 +107,11 @@ def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0, cap=10**7)
     for start in range(0, runs, RUN_BLOCK):
         count = min(RUN_BLOCK, runs - start)
         out[start:start + count] = _walk_block(indptr, nbrs, cumw, src, dst,
-                                               run_start + start, count, seed, cap)
+                                               run_start + start, count, seed)
     return out
 
 
-def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0, cap=10**7):
+def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0):
     """Per-node visit counts of walks src -> dst, aggregated over runs.
 
     A visit is counted at every position the walk occupies before absorption,
@@ -126,7 +129,7 @@ def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0, cap=10
         count = min(block, runs - start)
         visits = np.zeros((count, n), np.int64)
         steps = _walk_block(indptr, nbrs, cumw, src, dst, run_start + start,
-                            count, seed, cap, visits)
+                            count, seed, visits)
         done = visits[steps >= 0]
         capped += count - len(done)
         sums += done.sum(axis=0)

@@ -114,8 +114,8 @@ def cmd_verify(args) -> int:
         print(res.line())
         if not res.passed:
             failed += 1
-            for idx, (slug, g) in enumerate(res.failures[:5]):
-                path = f"verify-fail-{slug}-{idx}.el"
+            for idx, g in enumerate(res.failures[:5]):
+                path = f"verify-fail-{res.name}-{idx}.el"
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(format_edge_list(g))
                 print(f"  failing instance written to {path}")

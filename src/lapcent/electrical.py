@@ -26,11 +26,6 @@ class VoltageProfile:
     v: np.ndarray
     visits: np.ndarray
 
-    @property
-    def resistance(self) -> float:
-        """Effective resistance = v(source) - v(sink) = v(source)."""
-        return float(self.v[self.source])
-
 
 def _gauged_voltage(b: SpectralBundle, i: int, j: int) -> np.ndarray:
     v = b.lplus[:, i] - b.lplus[:, j]

@@ -143,35 +143,26 @@ PRESET_MOVES = {
     "pert1": (((15, 5), (6, 1)), ((15, 1), (6, 5))),
     "pert2": (((22, 23), (24, 25)), ((22, 25), (23, 24))),
 }
-_PRESET_ALIASES = {
-    "pert1": "pert1", "pert-i": "pert1", "i": "pert1", "1": "pert1",
-    "pert2": "pert2", "pert-ii": "pert2", "ii": "pert2", "2": "pert2",
-}
 
 
 def pert_preset(g: Graph, which: str) -> Graph:
-    """Apply one of the named degree-preserving rewirings (by node label,
-    so relabelings commute with the preset)."""
-    key = _PRESET_ALIASES.get(str(which).strip().lower())
-    if key is None:
+    """Apply the degree-preserving rewiring named "pert1" or "pert2" (the
+    keys of PRESET_MOVES) by node label, so relabelings commute with it."""
+    if which not in PRESET_MOVES:
         raise GraphError(f"unknown perturbation preset {which!r}")
-    removes, adds = PRESET_MOVES[key]
+    removes, adds = PRESET_MOVES[which]
     try:
         rm = [(_resolve(g, a), _resolve(g, b)) for a, b in removes]
         ad = [(_resolve(g, a), _resolve(g, b)) for a, b in adds]
     except GraphError as exc:
-        raise GraphError(f"{key} preset not applicable: {exc}") from exc
+        raise GraphError(f"{which} preset not applicable: {exc}") from exc
     out = rewire(g, rm, ad)
     if degree_sequence(out) != degree_sequence(g):
-        raise GraphError(f"{key} preset failed to preserve the degree sequence")
+        raise GraphError(f"{which} preset failed to preserve the degree sequence")
     return out
 
 
 # -- sensitivity --------------------------------------------------------
-
-DESCRIPTOR_KEYS = ("kstar", "randic", "gc_mean", "sc_mean", "gb_mean",
-                   "rb_mean", "cstar_mean", "kirchhoff")
-
 
 def graph_descriptors(g: Graph) -> dict:
     """Graph-level descriptors: K*, Randic index, and index averages."""
@@ -220,13 +211,13 @@ def sensitivity_report(before: Graph, after: Graph) -> SensitivityReport:
     db = graph_descriptors(before)
     da = graph_descriptors(after)
     deltas = {}
-    for key in DESCRIPTOR_KEYS:
+    for key in db:
         base, new = db[key], da[key]
         if base == 0.0:
             deltas[key] = 0.0 if new == 0.0 else math.copysign(math.inf, new - base)
         else:
             deltas[key] = (new - base) / base
-    directions = {key: _direction(deltas[key]) for key in DESCRIPTOR_KEYS}
+    directions = {key: _direction(d) for key, d in deltas.items()}
     return SensitivityReport(before=db, after=da, deltas=deltas, directions=directions)
 
 

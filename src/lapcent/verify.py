@@ -17,6 +17,7 @@ live only here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Callable
@@ -43,7 +44,7 @@ class CheckResult:
     residual: float | None
     tolerance: float | None
     detail: str = ""
-    failures: list = field(default_factory=list)  # (slug, Graph)
+    failures: list = field(default_factory=list)  # failing instances, as Graphs
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -61,7 +62,9 @@ class VerifyConfig:
     seed: int = 42
     tolerance: float | None = None  # overrides every check tolerance when set
     max_n: int | None = None        # overrides instance-size upper bounds
-    runs: int = 20000               # Monte Carlo runs per estimate
+
+
+MC_RUNS = 20000  # Monte Carlo runs per estimate
 
 
 ALL_CHECKS = []  # (name, check(cfg) -> CheckResult), in registration order
@@ -216,7 +219,7 @@ class Sweep:
                 value = max(r / s for r, s in zip(value, scales))
             records.append((g, value))
             if (value <= 0) if self.agg is min else (value > limit):
-                failures.append((self.name, g))
+                failures.append(g)
         values = [v for _, v in records]
         summary = max([0.0, *values]) if tol is not None else self.agg(values)
         detail = self.detail(records) if callable(self.detail) else self.detail.format(summary)
@@ -505,7 +508,7 @@ def check_transitive_constancy(cfg: VerifyConfig) -> CheckResult:
     for g in cases:
         rep = centrality_report(g)
         spreads.append(max(float(np.ptp(getattr(rep, name))) for name in rep.PER_NODE))
-    failures = [("transitive-constancy", g) for g, s in zip(cases, spreads) if s > tol]
+    failures = [g for g, s in zip(cases, spreads) if s > tol]
     worst = max([0.0, *spreads])
     return CheckResult("transitive-constancy", not failures, worst, tol,
                        detail="complete graphs and cycles", failures=failures)
@@ -586,11 +589,10 @@ def chunked_steps(g, i, j, seed, sizes):
 def check_mc_hitting(cfg: VerifyConfig) -> CheckResult:
     """Monte Carlo hitting estimates agree with the exact table to 4 SE,
     and the per-run sequence is chunking-invariant."""
-    runs = cfg.runs
     problems = []
     for g, pairs in ((path_graph(3), [(0, 1), (0, 2), (1, 0)]),
                      (complete_graph(4), [(0, 1), (2, 3)])):
-        for i, j, est, exact in hitting_estimates(g, pairs, runs, cfg.seed):
+        for i, j, est, exact in hitting_estimates(g, pairs, MC_RUNS, cfg.seed):
             se = max(est.std_error, 1e-12)
             if abs(est.mean - exact) > 4 * se:
                 problems.append(f"{g!r} ({i},{j}): {est.mean:.4f} vs {exact:.4f}")
@@ -599,20 +601,19 @@ def check_mc_hitting(cfg: VerifyConfig) -> CheckResult:
             problems.append(f"{g!r}: run sequence depends on chunking")
     return CheckResult("mc-hitting", not problems, None, None,
                        detail="; ".join(problems) if problems
-                       else f"{runs} runs within 4 SE; chunk-invariant")
+                       else f"{MC_RUNS} runs within 4 SE; chunk-invariant")
 
 
 @register("mc-visits")
 def check_mc_visits(cfg: VerifyConfig) -> CheckResult:
     """Monte Carlo visit counts match d(k) * v(k) from the voltage gauge."""
-    runs = cfg.runs
     problems = []
     for g, pairs in ((path_graph(3), [(0, 2), (2, 0)]),
                      (complete_graph(4), [(0, 3)])):
         b = build_spectral(g)
         for i, j in pairs:
             prof = voltages(b, i, j)
-            est = estimate_visits_mc(g, i, j, runs, cfg.seed)
+            est = estimate_visits_mc(g, i, j, MC_RUNS, cfg.seed)
             for k in range(g.n):
                 if k == j:
                     continue
@@ -621,7 +622,7 @@ def check_mc_visits(cfg: VerifyConfig) -> CheckResult:
                     problems.append(f"{g!r} U^{i}{j}_{k}")
     return CheckResult("mc-visits", not problems, None, None,
                        detail="; ".join(problems) if problems
-                       else f"visit counts within 4 SE at {runs} runs")
+                       else f"visit counts within 4 SE at {MC_RUNS} runs")
 
 
 @register("generator")
@@ -693,9 +694,12 @@ def check_sensitivity_directions(cfg: VerifyConfig) -> CheckResult:
 def run_checks(cfg: VerifyConfig, only: str | None = None):
     """Run (a filtered subset of) all checks; returns the result list.
 
-    Raises ValueError before running anything if `cfg.max_n` lies below a
-    selected sweep's smallest instance size.
+    Raises ValueError before running anything if `cfg.tolerance` is not a
+    finite number >= 0, or if `cfg.max_n` lies below a selected sweep's
+    smallest instance size.
     """
+    if cfg.tolerance is not None and not 0 <= cfg.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
     selected = [fn for name, fn in ALL_CHECKS if not only or only in name]
     for fn in selected:
         sweep = getattr(fn, "sweep", None)

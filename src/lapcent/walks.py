@@ -16,8 +16,6 @@ import numpy as np
 from . import _kernels
 from .graph import Graph, GraphError, require_connected, require_nodes
 
-STEP_CAP = 10**7  # per-run guard against pathological walks
-
 
 @dataclass(frozen=True)
 class HittingTable:
@@ -77,7 +75,7 @@ def average_detour_overhead(g: Graph, k: int, ht: HittingTable | None = None) ->
 
 
 class StepCapExceeded(GraphError):
-    """A simulated walk ran past the per-run step cap."""
+    """A simulated walk ran past the per-run step cap, _kernels.STEP_CAP."""
 
 
 @dataclass(frozen=True)
@@ -107,21 +105,19 @@ def _check_walk_args(g: Graph, i: int, j: int, runs: int, seed: int, what: str):
 
 
 def simulate_hitting_steps(g: Graph, i: int, j: int, runs: int, seed: int,
-                           run_start: int = 0, cap: int = STEP_CAP) -> np.ndarray:
+                           run_start: int = 0) -> np.ndarray:
     """Raw per-run step counts; deterministic in (seed, run index) only."""
     _check_walk_args(g, i, j, runs, seed, "simulate_hitting_steps")
     indptr, nbrs, cumw = g.csr()
-    steps = _kernels.walk_steps(indptr, nbrs, cumw, i, j, runs, seed,
-                                run_start=run_start, cap=cap)
+    steps = _kernels.walk_steps(indptr, nbrs, cumw, i, j, runs, seed, run_start=run_start)
     if np.any(steps < 0):
         raise StepCapExceeded(
-            f"walk {i}->{j} exceeded {cap} steps; input looks pathological"
+            f"walk {i}->{j} exceeded {_kernels.STEP_CAP} steps; input looks pathological"
         )
     return steps
 
 
-def estimate_hitting_mc(g: Graph, i: int, j: int, runs: int, seed: int,
-                        cap: int = STEP_CAP) -> WalkEstimate:
+def estimate_hitting_mc(g: Graph, i: int, j: int, runs: int, seed: int) -> WalkEstimate:
     """Monte Carlo hitting-time estimate with standard error.
 
     Runs are simulated a block at a time and reduced to exact integer sums,
@@ -129,12 +125,11 @@ def estimate_hitting_mc(g: Graph, i: int, j: int, runs: int, seed: int,
     deviation over sqrt(runs); it is 0.0 for a single run.
     """
     _check_walk_args(g, i, j, runs, seed, "estimate_hitting_mc")
-    # a block's int64 sum of squares stays exact while block * cap**2 < 2**63
-    block = max(1, min(_kernels.RUN_BLOCK, (2**63 - 1) // cap**2))
+    block = _kernels.RUN_BLOCK
     total = total_sq = 0
     for start in range(0, runs, block):
         steps = simulate_hitting_steps(g, i, j, min(block, runs - start), seed,
-                                       run_start=start, cap=cap)
+                                       run_start=start)
         total += int(steps.sum())
         total_sq += int(steps @ steps)
     var = (runs * total_sq - total * total) / (runs * (runs - 1)) if runs > 1 else 0.0
@@ -153,15 +148,13 @@ class VisitEstimate:
     seed: int
 
 
-def estimate_visits_mc(g: Graph, i: int, j: int, runs: int, seed: int,
-                       cap: int = STEP_CAP) -> VisitEstimate:
+def estimate_visits_mc(g: Graph, i: int, j: int, runs: int, seed: int) -> VisitEstimate:
     _check_walk_args(g, i, j, runs, seed, "estimate_visits_mc")
     indptr, nbrs, cumw = g.csr()
-    sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, i, j,
-                                               runs, seed, cap=cap)
+    sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, i, j, runs, seed)
     if capped:
         raise StepCapExceeded(
-            f"{capped} walks {i}->{j} exceeded {cap} steps"
+            f"{capped} walks {i}->{j} exceeded {_kernels.STEP_CAP} steps"
         )
     means = sums / runs
     if runs > 1:
@@ -186,6 +179,7 @@ def approx_hitting_dense(g: Graph, i: int, j: int, convention: str = "source-deg
     """
     if convention not in CONVENTIONS:
         raise GraphError(f"convention must be one of {CONVENTIONS}")
+    require_connected(g, "approx_hitting_dense")
     require_nodes(g, i, j)
     d = g.degrees
     denom = d[i] if convention == "source-degree" else d[j]
@@ -194,6 +188,7 @@ def approx_hitting_dense(g: Graph, i: int, j: int, convention: str = "source-deg
 
 def approx_commute_dense(g: Graph, i: int, j: int) -> float:
     """Symmetric companion estimate Vol(G) (1/d(i) + 1/d(j))."""
+    require_connected(g, "approx_commute_dense")
     require_nodes(g, i, j)
     d = g.degrees
     return float(g.volume * (1.0 / d[i] + 1.0 / d[j]))

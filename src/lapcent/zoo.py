@@ -187,9 +187,8 @@ class CentralityReport:
         return rows
 
 
-def centrality_report(g: Graph, b: SpectralBundle | None = None) -> CentralityReport:
-    if b is None:
-        b = build_spectral(g)
+def centrality_report(g: Graph) -> CentralityReport:
+    b = build_spectral(g)
     k, kstar = kirchhoff_index(b)
     spd = shortest_path_distances(g)
     return CentralityReport(

@@ -253,6 +253,16 @@ class TestHitting:
             assert code == 2 and out == ""
             assert "outside 0..2" in err
 
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    def test_disconnected_exit_2(self, capsys, tmp_path, method):
+        # approx used to print hitting 4.0 and commute 8.0 at exit 0
+        path = tmp_path / "two.el"
+        path.write_text("0 1 1\n2 3 1\n")
+        code, out, err = run(capsys, "hitting", str(path), "-i", "0", "-j", "3",
+                             "--method", method)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith("second component: [2, 3]\n")
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_uint64_exit_2(self, capsys, p3_file, seed):
         # used to end in an OverflowError traceback with exit 1
@@ -287,6 +297,27 @@ class TestVerify:
         # dumped instances parse back
         from lapcent import load_edge_list
         assert load_edge_list(dumps[0]).n >= 4
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_that_cannot_fail_or_pass_is_usage_error(self, capsys, tmp_path,
+                                                               monkeypatch, tol):
+        # nan and inf used to pass every check at exit 0; -1 failed every
+        # check and wrote five verify-fail files
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "verify", "--tolerance", tol)
+        assert code == 2 and out == ""
+        assert err == f"error: --tolerance must be finite and >= 0, got {float(tol)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol, code, status", [("0", 1, "FAIL"), ("1e-9", 0, "PASS")])
+    def test_finite_nonnegative_tolerance_runs(self, capsys, tmp_path, monkeypatch,
+                                               tol, code, status):
+        # 0 is a valid bound that any rounding residual fails
+        monkeypatch.chdir(tmp_path)
+        got, out, _ = run(capsys, "verify", "--only", "detour-average", "--tolerance", tol)
+        assert got == code
+        assert out.startswith(f"{status} detour-average: max residual 1.110e-15 "
+                              f"(tol {float(tol):.1e})")
 
     def test_n_below_sweep_minimum_is_usage_error(self, capsys):
         # detour-average draws n from [4, N], so N = 3 leaves it no size

@@ -19,7 +19,7 @@ class TestVoltages:
         prof = voltages(b, 0, 2)
         assert np.allclose(prof.v, [2.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(prof.visits, [2.0, 2.0, 0.0], atol=1e-12)
-        assert prof.resistance == pytest.approx(2.0)
+        assert effective_resistance(b, 0, 2) == pytest.approx(2.0)
 
     def test_visits_match_fundamental_matrix(self):
         rng = np.random.default_rng(2)

@@ -66,11 +66,17 @@ def test_walk_steps_forced_first_step():
     assert np.all(steps == 1)
 
 
-def test_walk_steps_cap_marks_runs():
+def test_walk_steps_cap_marks_runs(monkeypatch):
     g = path_graph(3)
     indptr, nbrs, cumw = g.csr()
-    steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, 2, 64, 5, cap=1)
+    monkeypatch.setattr(_kernels, "STEP_CAP", 1)
+    steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, 2, 64, 5)
     assert np.all(steps == -1)
+
+
+def test_step_cap_keeps_block_sums_exact():
+    # estimate_hitting_mc sums the squared step counts of a block in int64
+    assert _kernels.RUN_BLOCK * _kernels.STEP_CAP**2 < 2**63
 
 
 def test_walk_visits_match_step_counts():
@@ -149,16 +155,16 @@ REF_CASES = [(g, dst, seed, run_start, cap)
 
 
 @pytest.mark.parametrize("g, dst, seed, run_start, cap", REF_CASES)
-def test_walks_match_reference_walker(g, dst, seed, run_start, cap):
+def test_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, cap):
     runs = 60
     indptr, nbrs, cumw = g.csr()
-    steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, dst, runs, seed,
-                                run_start=run_start, cap=cap)
+    monkeypatch.setattr(_kernels, "STEP_CAP", cap)
+    steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, dst, runs, seed, run_start=run_start)
     ref = [ref_walk(g, 0, dst, seed, r, cap)[0]
            for r in range(run_start, run_start + runs)]
     assert steps.tolist() == ref
     sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, dst,
-                                               runs, seed, run_start=run_start, cap=cap)
+                                               runs, seed, run_start=run_start)
     want = ref_visits(g, 0, dst, seed, run_start, runs, cap)
     assert np.array_equal(sums, want[0]) and np.array_equal(sumsq, want[1])
     assert capped == want[2]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,11 +99,17 @@ class TestPerturbations:
         with pytest.raises(GraphError):
             pert_preset(path_graph(3), "pert1")  # no v15 at all
 
-    def test_aliases(self, preset):
-        assert pert_preset(preset, "PERT-I").edges \
-            == pert_preset(preset, "pert1").edges
-        with pytest.raises(GraphError):
-            pert_preset(preset, "pert9")
+    def test_only_preset_keys_are_accepted(self, preset):
+        # SHA-256 of format_edge_list of each rewiring, as `perturb` writes it
+        g1 = pert_preset(preset, "pert1")
+        g2 = pert_preset(g1, "pert2")
+        assert hashlib.sha256(format_edge_list(g1).encode()).hexdigest() == \
+            "ea065c9c5103066ae305eed20db7e66842f54e5b5e818cc87eec9a5d0968ad10"
+        assert hashlib.sha256(format_edge_list(g2).encode()).hexdigest() == \
+            "fa724d15a5605339b8bf7281bb4df0cbf543d9fc1d703bed0427a2ac0f6c10ba"
+        for which in ("pert-i", "PERT1", "1", "pert9"):
+            with pytest.raises(GraphError, match=f"^unknown perturbation preset {which!r}$"):
+                pert_preset(preset, which)
 
     def test_relabeling_commutes(self, preset):
         perm = list(range(preset.n))

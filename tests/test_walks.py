@@ -222,9 +222,12 @@ class TestMonteCarlo:
         est = estimate_hitting_mc(path_graph(3), 0, 1, 1, seed=1)
         assert est.runs == 1 and est.std_error == 0.0
 
-    def test_step_cap(self):
-        with pytest.raises(StepCapExceeded):
-            estimate_hitting_mc(path_graph(3), 0, 2, 16, seed=3, cap=1)
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "STEP_CAP", 1)
+        with pytest.raises(StepCapExceeded, match="^walk 0->2 exceeded 1 steps"):
+            estimate_hitting_mc(path_graph(3), 0, 2, 16, seed=3)
+        with pytest.raises(StepCapExceeded, match="^16 walks 0->2 exceeded 1 steps$"):
+            estimate_visits_mc(path_graph(3), 0, 2, 16, seed=3)
 
     def test_estimate_fields(self):
         est = estimate_hitting_mc(path_graph(3), 0, 2, 64, seed=5)
@@ -307,6 +310,13 @@ class TestDenseApproximation:
             == pytest.approx(6.0)
         with pytest.raises(GraphError):
             approx_hitting_dense(g, 0, 1, convention="typo")
+
+    def test_disconnected_raises(self):
+        # used to answer Vol(G) / d(i) from one component's degrees
+        g = Graph(4, [(0, 1), (2, 3)])
+        for fn in (approx_hitting_dense, approx_commute_dense):
+            with pytest.raises(DisconnectedError, match=r"second component: \[2, 3\]"):
+                fn(g, 0, 3)
 
     @pytest.mark.parametrize("i, j", [(-1, 1), (0, -1), (3, 1), (0, 3)])
     def test_out_of_range_ids_raise(self, i, j):
