@@ -30,28 +30,28 @@ def _dump_json(obj, path):
 
 def cmd_analyze(args) -> int:
     from .graph import load_edge_list
-    from .spectral import build_spectral, spectral_report
+    from .spectral import (KIRCHHOFF_CONVENTION, build_spectral, kirchhoff_index,
+                           spectral_report, topological_centrality)
 
     g = load_edge_list(args.graph)
-    report = spectral_report(build_spectral(g))
-    if args.json:
-        _dump_json(report, args.output)
-    elif args.csv:
+    b = build_spectral(g)
+    if args.json:  # the only form that prints the spectrum
+        _dump_json(spectral_report(b), args.output)
+        return 0
+    rows = list(enumerate(zip(b.diag.tolist(), topological_centrality(b).tolist())))
+    if args.csv:
         lines = ["node,label,lplus_diag,cstar"]
-        lines += [f"{d['id']},{d['label']},{d['lplus_diag']:.12g},{d['cstar']:.12g}"
-                  for d in report["nodes"]]
-        _write("\n".join(lines) + "\n", args.output)
+        lines += [f"{i},{i},{d:.12g},{c:.12g}" for i, (d, c) in rows]
     else:
-        graph = report["graph"]
+        k, kstar = kirchhoff_index(b)
         lines = [
             f"nodes: {g.n}  edges: {g.m}  volume: {g.volume:g}",
-            f"kirchhoff index K: {graph['kirchhoff']:.6f} "
-            f"(convention: {graph['kirchhoff_convention']}; K* = {graph['kstar']:.6f})",
+            f"kirchhoff index K: {k:.6f} "
+            f"(convention: {KIRCHHOFF_CONVENTION}; K* = {kstar:.6f})",
             "node  label  l+_ii      C*",
         ]
-        lines += [f"{d['id']:>4}  {d['label']:<6} {d['lplus_diag']:<10.6f} {d['cstar']:.6f}"
-                  for d in report["nodes"]]
-        _write("\n".join(lines) + "\n", args.output)
+        lines += [f"{i:>4}  {i:<6} {d:<10.6f} {c:.6f}" for i, (d, c) in rows]
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 

@@ -49,11 +49,11 @@ def _frozen(a):
 class Graph:
     """Immutable simple graph: no self-loops, no parallel edges, finite weights > 0.
 
-    Node ids are the dense range 0..n-1. Optional labels give external names
-    for reports; internally everything is id-based.
+    Node ids are the dense range 0..n-1 and are the only node names: reports
+    print the id wherever they have a label field.
     """
 
-    def __init__(self, n, edges, labels=None):
+    def __init__(self, n, edges):
         if n < 1:
             raise GraphError("graph needs at least one node")
         seen = set()
@@ -77,11 +77,6 @@ class Graph:
         canon.sort()
         self.n = n
         self.edges = tuple(canon)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise GraphError(f"expected {n} labels, got {len(labels)}")
-        self.labels = labels
 
     # -- derived views -------------------------------------------------
 
@@ -169,19 +164,6 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         i = bisect_left(self.edges, key)
         return i < self.m and self.edges[i][:2] == key
-
-    def label_of(self, i):
-        return self.labels[i] if self.labels is not None else str(i)
-
-    @cached_property
-    def _label_index(self):
-        return {lab: i for i, lab in enumerate(self.labels or ())}
-
-    def index_of(self, label):
-        """Resolve an external label to a node id."""
-        if label in self._label_index:
-            return self._label_index[label]
-        raise GraphError(f"unknown node label {label!r}")
 
     def __repr__(self):
         kind = "unweighted" if self.unweighted else "weighted"
@@ -353,7 +335,7 @@ def rewire(g: Graph, remove, add, check_connected=True) -> Graph:
         if key in current:
             raise GraphError(f"cannot add existing edge ({u},{v})")
         current[key] = e[2] if len(e) == 3 else 1.0
-    out = Graph(g.n, [(u, v, w) for (u, v), w in current.items()], labels=g.labels)
+    out = Graph(g.n, [(u, v, w) for (u, v), w in current.items()])
     if check_connected:
         require_connected(out, "rewire result")
     return out

@@ -187,7 +187,7 @@ def spectral_report(b: SpectralBundle) -> dict:
     nodes = [
         {
             "id": i,
-            "label": b.graph.label_of(i),
+            "label": str(i),
             "lplus_diag": float(diag[i]),
             "cstar": float(cstar[i]),
         }

@@ -175,20 +175,25 @@ def approx_hitting_dense(g: Graph, i: int, j: int, convention: str = "source-deg
 
     The default "source-degree" divides by d(i); "target-degree" divides by
     d(j) (the convention common elsewhere). This is a dense-regime heuristic,
-    not an exact quantity.
+    not an exact quantity. A walk that starts at its target takes no steps,
+    so i == j gives 0.0, as the exact H_jj does.
     """
     if convention not in CONVENTIONS:
         raise GraphError(f"convention must be one of {CONVENTIONS}")
     require_connected(g, "approx_hitting_dense")
     require_nodes(g, i, j)
+    if i == j:
+        return 0.0
     d = g.degrees
     denom = d[i] if convention == "source-degree" else d[j]
     return float(g.volume / denom)
 
 
 def approx_commute_dense(g: Graph, i: int, j: int) -> float:
-    """Symmetric companion estimate Vol(G) (1/d(i) + 1/d(j))."""
+    """Symmetric companion estimate Vol(G) (1/d(i) + 1/d(j)); 0.0 when i == j."""
     require_connected(g, "approx_commute_dense")
     require_nodes(g, i, j)
+    if i == j:
+        return 0.0
     d = g.degrees
     return float(g.volume * (1.0 / d[i] + 1.0 / d[j]))

@@ -180,7 +180,7 @@ class CentralityReport:
             header += [name, f"{name}_norm"]
         rows = [header]
         for i in range(g.n):
-            row = [str(i), g.label_of(i)]
+            row = [str(i), str(i)]
             for name in self.PER_NODE:
                 row += [f"{getattr(self, name)[i]:.12g}", f"{norm[name][i]:.12g}"]
             rows.append(row)

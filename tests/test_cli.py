@@ -243,6 +243,17 @@ class TestHitting:
                         "--method", "approx", "--convention", "target-degree")
         assert json.loads(out)["hitting"] == pytest.approx(4.0)  # Vol/d(0)
 
+    @pytest.mark.parametrize("flags", [("--method", "exact"),
+                                       ("--method", "approx"),
+                                       ("--method", "approx", "--convention", "target-degree")],
+                             ids=["exact", "approx-source", "approx-target"])
+    def test_source_equal_to_target_is_zero(self, capsys, p3_file, flags):
+        # approx used to print hitting 2.0 and commute 4.0, as if i != j
+        code, out, _ = run(capsys, "hitting", p3_file, "-i", "1", "-j", "1", *flags)
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["hitting"] == 0.0 and rep["commute"] == 0.0
+
     @pytest.mark.parametrize("method", ["exact", "approx", "mc"])
     def test_out_of_range_ids_exit_2(self, capsys, p3_file, method):
         # -1 used to index from the end; n raised IndexError or walked
@@ -318,6 +329,24 @@ class TestVerify:
         assert got == code
         assert out.startswith(f"{status} detour-average: max residual 1.110e-15 "
                               f"(tol {float(tol):.1e})")
+
+    def test_spectral_override_is_the_printed_bound(self, capsys, tmp_path, monkeypatch):
+        # used to print the residual divided by the override and "tol 1.0e+00"
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "verify", "--only", "spectral", "--tolerance", "1e-6")
+        assert code == 0
+        line = out.splitlines()[0]
+        assert line.startswith("PASS spectral-consistency: max residual ")
+        assert "(tol 1.0e-06)" in line
+        assert float(line.split("max residual ")[1].split()[0]) < 1e-12
+
+    def test_spectral_zero_tolerance_fails(self, capsys, tmp_path, monkeypatch):
+        # used to end in a ZeroDivisionError traceback
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "verify", "--only", "spectral", "--tolerance", "0")
+        assert code == 1
+        assert out.startswith("FAIL spectral-consistency: max residual ")
+        assert "(tol 0.0e+00)" in out.splitlines()[0]
 
     def test_n_below_sweep_minimum_is_usage_error(self, capsys):
         # detour-average draws n from [4, N], so N = 3 leaves it no size
@@ -420,7 +449,7 @@ SENSITIVITY_PINS = {
 }
 
 # SHA-256 of `verify --seed 42` stdout.
-VERIFY_SEED_42_PIN = "af65a61b1a2dc130fed02c1504163d8c6ddcb5e82bba7bae6ae29eb71de7acbd"
+VERIFY_SEED_42_PIN = "3d55457ca993c4c10af97d8385bb29997bf7bf77e7c521e2b2a6ab4dab46a8e6"
 
 
 def sha256(text):
@@ -452,6 +481,19 @@ def test_sensitivity_output_bytes(capsys, preset_files, argv):
     code, out, _ = run(capsys, "sensitivity", preset_files[before], preset_files[after], *flags)
     assert code == 0
     assert sha256(out) == SENSITIVITY_PINS[argv]
+
+
+def test_analyze_text_and_csv_skip_the_spectrum(capsys, preset_files, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for argv in (("analyze",), ("analyze", "--csv")):
+        code, out, _ = run(capsys, argv[0], preset_files["preset"], *argv[1:])
+        assert code == 0
+        assert sha256(out) == PRESET_PINS[argv]
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        run(capsys, "analyze", preset_files["preset"], "--json")
 
 
 def test_preset_zero_mode_is_exact(capsys, preset_files):

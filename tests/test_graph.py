@@ -112,15 +112,6 @@ class TestGraphInvariants:
         with pytest.raises(GraphError, match="finite"):
             Graph(3, [(0, 1, w), (1, 2, 1.0)])
 
-    def test_labels(self):
-        g = Graph(2, [(0, 1)], labels=["a", "b"])
-        assert g.label_of(1) == "b"
-        assert g.index_of("a") == 0
-        with pytest.raises(GraphError):
-            g.index_of("zzz")
-        with pytest.raises(GraphError):
-            Graph(2, [(0, 1)], labels=["only-one"])
-
 
 class TestConnectivity:
     def test_examples(self):
@@ -200,10 +191,6 @@ class TestRewire:
     def test_add_non_finite_weight(self, w):
         with pytest.raises(GraphError, match="finite"):
             rewire(path_graph(3), remove=[], add=[(0, 2, w)])
-
-    def test_preserves_labels(self):
-        g = Graph(3, [(0, 1), (1, 2)], labels=["x", "y", "z"])
-        assert rewire(g, [(1, 2)], [(0, 2)]).labels == ("x", "y", "z")
 
 
 # -- property tests -----------------------------------------------------

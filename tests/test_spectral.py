@@ -159,12 +159,13 @@ class TestResistance:
 
 class TestReport:
     def test_summary_and_report(self):
-        g = Graph(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
+        g = Graph(3, [(0, 1), (1, 2)])
         b = build_spectral(g)
         assert kirchhoff_index(b)[0] == pytest.approx(4 / 3)
         rep = spectral_report(b)
         assert rep["graph"]["kirchhoff_convention"] == "trace"
-        assert [n["label"] for n in rep["nodes"]] == ["a", "b", "c"]
+        assert [n["label"] for n in rep["nodes"]] == [str(n["id"]) for n in rep["nodes"]] \
+            == ["0", "1", "2"]
         assert rep["nodes"][1]["cstar"] == pytest.approx(4.5)
         assert len(rep["graph"]["eigenvalues"]) == 3
 

@@ -7,10 +7,17 @@ from lapcent import (ConstraintError, Graph, TopologySpec, components,
                      degree_sequence, export_dot, format_edge_list,
                      gen_core_gateway, is_connected, abilene_topology,
                      pert_preset, rewire, sensitivity_report)
+from lapcent import topology
 from lapcent.graph import GraphError
 from lapcent.topology import DOWN, FLAT, UP, graph_descriptors
+from lapcent.verify import VerifyConfig, run_checks
 
 from helpers import path_graph
+
+
+def v(k):
+    """Node id of the paper's v_k."""
+    return k - 1
 
 
 @pytest.fixture(scope="module")
@@ -22,17 +29,15 @@ class TestGenerator:
     def test_preset_shape(self, preset):
         assert preset.n == 65
         assert is_connected(preset)
-        assert preset.labels[0] == "v1" and preset.labels[64] == "v65"
         deg = preset.degrees
-        assert deg[preset.index_of("v5")] == 10
-        assert deg[preset.index_of("v6")] == 10
+        assert deg[v(5)] == 10
+        assert deg[v(6)] == 10
 
     def test_preset_subnet_wiring(self, preset):
-        v = preset.index_of
         for k in range(15, 24):
-            assert preset.has_edge(v("v5"), v(f"v{k}"))
-        assert preset.has_edge(v("v22"), v("v23"))
-        assert preset.has_edge(v("v24"), v("v25"))
+            assert preset.has_edge(v(5), v(k))
+        assert preset.has_edge(v(22), v(23))
+        assert preset.has_edge(v(24), v(25))
 
     def test_determinism(self):
         a = format_edge_list(abilene_topology())
@@ -69,22 +74,30 @@ class TestGenerator:
 
     def test_failure_cut_sizes(self, preset):
         # losing the v5-v1 uplink strands 10 nodes before, 19 after pert1
-        v = preset.index_of
-        cut = rewire(preset, [(v("v5"), v("v1"))], [], check_connected=False)
+        cut = rewire(preset, [(v(5), v(1))], [], check_connected=False)
         assert min(len(c) for c in components(cut)) == 10
         g1 = pert_preset(preset, "pert1")
-        cut = rewire(g1, [(v("v5"), v("v1"))], [], check_connected=False)
+        cut = rewire(g1, [(v(5), v(1))], [], check_connected=False)
         assert min(len(c) for c in components(cut)) == 19
+
+    def test_generator_check_fails_without_raising(self, monkeypatch):
+        # v5's subnet shrunk from 9 to 8 nodes: the preset has 64 nodes
+        sizes = (8, *topology.ABILENE_PRESET.subnet_sizes[1:])
+        monkeypatch.setattr(topology, "ABILENE_PRESET",
+                            TopologySpec(4, 10, sizes, topology.ABILENE_PRESET.redundant_pairs))
+        (res,) = run_checks(VerifyConfig(), only="generator")
+        assert not res.passed
+        assert "expected 65 nodes, got 64" in res.detail
+        assert res.line().startswith("FAIL generator: ")
 
 
 class TestPerturbations:
     def test_pert1_moves_edges(self, preset):
         g1 = pert_preset(preset, "pert1")
-        v = preset.index_of
-        assert g1.has_edge(v("v15"), v("v1"))
-        assert g1.has_edge(v("v6"), v("v5"))
-        assert not g1.has_edge(v("v15"), v("v5"))
-        assert not g1.has_edge(v("v6"), v("v1"))
+        assert g1.has_edge(v(15), v(1))
+        assert g1.has_edge(v(6), v(5))
+        assert not g1.has_edge(v(15), v(5))
+        assert not g1.has_edge(v(6), v(1))
 
     def test_degree_sequences_preserved(self, preset):
         g1 = pert_preset(preset, "pert1")
@@ -96,8 +109,9 @@ class TestPerturbations:
         g1 = pert_preset(preset, "pert1")
         with pytest.raises(GraphError):
             pert_preset(g1, "pert1")  # e15,5 is already gone
-        with pytest.raises(GraphError):
-            pert_preset(path_graph(3), "pert1")  # no v15 at all
+        with pytest.raises(GraphError, match="^pert1 preset not applicable: "
+                                             "node v15 outside graph of 3 nodes$"):
+            pert_preset(path_graph(3), "pert1")
 
     def test_only_preset_keys_are_accepted(self, preset):
         # SHA-256 of format_edge_list of each rewiring, as `perturb` writes it
@@ -110,20 +124,6 @@ class TestPerturbations:
         for which in ("pert-i", "PERT1", "1", "pert9"):
             with pytest.raises(GraphError, match=f"^unknown perturbation preset {which!r}$"):
                 pert_preset(preset, which)
-
-    def test_relabeling_commutes(self, preset):
-        perm = list(range(preset.n))
-        perm[3], perm[40] = perm[40], perm[3]
-        inv = [0] * preset.n
-        for old, new in enumerate(perm):
-            inv[new] = old
-        shuffled = Graph(preset.n,
-                         [(perm[u], perm[v], w) for u, v, w in preset.edges],
-                         labels=[f"v{inv[i] + 1}" for i in range(preset.n)])
-        direct = {(min(perm[u], perm[v]), max(perm[u], perm[v]))
-                  for u, v, _ in pert_preset(preset, "pert1").edges}
-        via = {(u, v) for u, v, _ in pert_preset(shuffled, "pert1").edges}
-        assert direct == via
 
 
 @pytest.fixture(scope="module")

@@ -318,6 +318,14 @@ class TestDenseApproximation:
             with pytest.raises(DisconnectedError, match=r"second component: \[2, 3\]"):
                 fn(g, 0, 3)
 
+    def test_source_equal_to_target_is_zero(self):
+        # used to answer as if i != j; the exact H_jj and C_jj are 0
+        g = star_graph(4)
+        for k in range(4):
+            for convention in ("source-degree", "target-degree"):
+                assert approx_hitting_dense(g, k, k, convention=convention) == 0.0
+            assert approx_commute_dense(g, k, k) == 0.0
+
     @pytest.mark.parametrize("i, j", [(-1, 1), (0, -1), (3, 1), (0, 3)])
     def test_out_of_range_ids_raise(self, i, j):
         # a negative id used to index degrees from the end: node n-1
