@@ -6,12 +6,17 @@ batched into blocks or across calls.
 
 Walks run in lockstep: a block of runs starts at the source and every run
 still walking takes one step per numpy iteration; a run leaves the block
-when it reaches the target. The neighbor of a step is found by a batched
-bisection over the node's cumulative-weight slice: it picks the same
-neighbor as a linear scan for the first entry above the draw, in O(log d)
-numpy operations per step. The tree scan decodes a block of Pruefer
-sequences at once, one row per sequence. Block sizes are fixed, so working
-memory does not grow with the run count or the number of trees.
+when it reaches the target. Each step picks the neighbor a linear scan of
+the node's cumulative-weight slice would, the first entry above the draw.
+While few runs walk, numpy's per-call cost dominates, so one sorted search
+over all slices, keyed by (node, cumulative weight) as complex numbers,
+picks for every run at once. While many walk, a batched bisection over
+each node's slice, O(log d) numpy calls but less work per run, is cheaper.
+Each run's draws for the next several steps are generated in one pass, in
+a block of at most DRAW_CELLS uniforms (runs x steps), or one step's when
+more runs are walking. The tree scan decodes a block of Pruefer sequences
+at once, one row per sequence. Block sizes are fixed, so working memory
+does not grow with the run count or the number of trees.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 RUN_BLOCK = 65536      # walks simulated side by side
 VISIT_CELLS = 1 << 21  # per-run visit counters held at once (runs x nodes)
+DRAW_CELLS = 1 << 14   # uniforms generated ahead at once (runs x steps)
+SEARCH_RUNS = 128      # walking runs per bisection round below which a step searches
 TREE_BLOCK = 8192      # Pruefer sequences decoded side by side
 STEP_CAP = 10**7       # steps a run may take before it counts as capped
 # A block's int64 sum of squared step counts stays exact while
@@ -67,6 +74,13 @@ def _pick(cumw, lo, last, target, rounds):
     return lo
 
 
+def _draws(state, width):
+    """The next `width` uniforms in [0, 1) of each run's stream, one row per
+    step, and the stream states after them."""
+    z = state + GOLD * np.arange(1, width + 1, dtype=np.uint64)[:, None]
+    return (_mix64(z) >> _S11).astype(np.float64) * _INV53, z[-1]
+
+
 def _walk_block(indptr, nbrs, cumw, src, dst, first_run, count, seed, visits=None):
     """Step counts of `count` runs src -> dst simulated in lockstep; -1 marks
     a run still walking after STEP_CAP steps.
@@ -74,27 +88,58 @@ def _walk_block(indptr, nbrs, cumw, src, dst, first_run, count, seed, visits=Non
     Runs are first_run, first_run+1, ...; each draws one uniform per step
     from its own stream. If `visits` (count x n) is given, visits[r, u]
     counts the steps run r takes from u.
+
+    A step from u with draw r01 moves to the first neighbor e in u's slice
+    with r01 * d(u) < cumw[e], else to the slice's last neighbor. While
+    fewer than SEARCH_RUNS runs per bisection round are walking, one sorted
+    search finds it for every run: `key` holds (owner, cumw) per slot as a
+    complex number, with each slice's last slot raised to +inf, and numpy
+    orders complex numbers by real then imaginary part, so the first key
+    above (u, r01 * d(u)) is that slot. More runs take `_pick`: each of its
+    rounds costs several numpy calls, but far less per run than the
+    search, whose comparisons branch unpredictably. Both pick the same
+    slot. Draws are generated up to DRAW_CELLS at a time; `row` maps each
+    walking run to its row of them.
     """
     rounds = int(np.max(np.diff(indptr)) - 1).bit_length()
+    n = len(indptr) - 1
+    last_slot = indptr[1:] - 1
+    key = np.empty(len(cumw), np.complex128)
+    key.real = np.repeat(np.arange(n), np.diff(indptr))
+    key.imag = cumw
+    key.imag[last_slot] = np.inf
+    base = np.empty(n, np.complex128)  # (u, d(u))
+    base.real = np.arange(n)
+    base.imag = cumw[last_slot]
     state = _run_state(np.uint64(seed), first_run + np.arange(count))
     steps = np.full(count, -1, np.int64)
-    live = np.arange(count)
+    live = row = np.arange(count)
     u = np.full(count, src, np.int64)
-    k = 0
+    draws = np.empty((0, count))
+    k = j = 0
     while True:
         arrived = u == dst
-        if arrived.any():
+        if np.count_nonzero(arrived):
             steps[live[arrived]] = k
             walking = ~arrived
-            live, u, state = live[walking], u[walking], state[walking]
+            live, u, row = live[walking], u[walking], row[walking]
         if live.size == 0 or k == STEP_CAP:
             return steps
         if visits is not None:
             visits[live, u] += 1
-        state += GOLD
-        r01 = (_mix64(state) >> _S11).astype(np.float64) * _INV53
-        last = indptr[u + 1] - 1
-        u = nbrs[_pick(cumw, indptr[u], last, r01 * cumw[last], rounds)]
+        if j == len(draws):
+            draws, state = _draws(state[row], max(1, DRAW_CELLS // live.size))
+            row, j = np.arange(live.size), 0
+        r01 = draws[j][row]
+        if live.size < SEARCH_RUNS * rounds:
+            q = base[u]
+            q.imag *= r01
+            e = key.searchsorted(q, "right")
+        else:
+            last = last_slot[u]
+            e = _pick(cumw, indptr[u], last, r01 * cumw[last], rounds)
+        u = nbrs[e]
+        j += 1
         k += 1
 
 

@@ -169,10 +169,11 @@ class Sweep:
     the sweep as `check.sweep`. With `tol` set the function returns the
     instance's residual and the check reports the worst one; a tuple `tol`
     takes a tuple of residuals, each divided by its own tolerance, so the
-    check's bound is 1, unless `--tolerance` overrides it: then the largest
-    raw residual is compared with the override. Without `tol` the check is
-    count-style: the function returns the instance's violation count, summed
-    over instances, or with agg=min a quantity that must stay positive.
+    check's bound is 1 and its detail says the residuals are scaled, unless
+    `--tolerance` overrides it: then the largest raw residual is compared
+    with the override. Without `tol` the check is count-style: the function
+    returns the instance's violation count, summed over instances, or with
+    agg=min a quantity that must stay positive.
     `detail` is formatted with the worst residual or the aggregate, or called
     with the (instance, value) records.
     """
@@ -224,6 +225,8 @@ class Sweep:
         values = [v for _, v in records]
         summary = max([0.0, *values]) if tol is not None else self.agg(values)
         detail = self.detail(records) if callable(self.detail) else self.detail.format(summary)
+        if scales:
+            detail = f"scaled to per-identity tolerances; {detail}"
         return CheckResult(self.name, not failures, None if tol is None else summary, tol,
                            detail=detail, failures=failures)
 
@@ -333,7 +336,7 @@ def eigen_route(lap: np.ndarray) -> EigenRoute:
     return EigenRoute(evals, vecs, (vecs * inv) @ vecs.T, np.sqrt(inv)[:, None] * vecs.T)
 
 
-@Sweep("spectral-consistency", 100, 2, 12, "scaled to per-identity tolerances; 100 graphs",
+@Sweep("spectral-consistency", 100, 2, 12, "100 graphs",
        tol=(1e-8, 1e-9, 1e-10, 1e-9),
        gen=lambda rng, n, t: random_connected(rng, n, weighted=t % 3 == 0))
 def check_spectral_consistency(g):
@@ -630,13 +633,10 @@ def check_mc_visits(cfg: VerifyConfig) -> CheckResult:
 def check_generator(cfg: VerifyConfig) -> CheckResult:
     """Preset generator determinism and the preset's stated constraints."""
     problems = []
-    try:
-        g = abilene_topology()
-        if format_edge_list(g) != format_edge_list(abilene_topology()):
-            problems.append("generator is not deterministic")
-        check_abilene_constraints(g)
-    except GraphError as exc:  # a violated constraint fails this check, not the run
-        problems.append(str(exc))
+    g = abilene_topology()
+    if format_edge_list(g) != format_edge_list(abilene_topology()):
+        problems.append("generator is not deterministic")
+    check_abilene_constraints(g)
     return CheckResult("generator", not problems, None, None,
                        detail="; ".join(problems) if problems
                        else "deterministic; constraints hold")
@@ -685,16 +685,24 @@ def check_sensitivity_directions(cfg: VerifyConfig) -> CheckResult:
 def run_checks(cfg: VerifyConfig, only: str | None = None):
     """Run (a filtered subset of) all checks; returns the result list.
 
-    Raises ValueError before running anything if `cfg.tolerance` is not a
-    finite number >= 0, or if `cfg.max_n` lies below a selected sweep's
-    smallest instance size.
+    A GraphError raised inside a check, such as a violated preset
+    constraint, becomes that check's FAIL result; the other checks still
+    run. Raises ValueError before running anything if `cfg.tolerance` is
+    not a finite number >= 0, or if `cfg.max_n` lies below a selected
+    sweep's smallest instance size.
     """
     if cfg.tolerance is not None and not 0 <= cfg.tolerance < math.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
-    selected = [fn for name, fn in ALL_CHECKS if not only or only in name]
-    for fn in selected:
+    selected = [(name, fn) for name, fn in ALL_CHECKS if not only or only in name]
+    for _, fn in selected:
         sweep = getattr(fn, "sweep", None)
         if sweep and cfg.max_n is not None and cfg.max_n < sweep.lo:
             raise ValueError(f"--n {cfg.max_n} is below {sweep.name}'s "
                              f"smallest instance size {sweep.lo}")
-    return [fn(cfg) for fn in selected]
+    results = []
+    for name, fn in selected:
+        try:
+            results.append(fn(cfg))
+        except GraphError as exc:
+            results.append(CheckResult(name, False, None, None, detail=str(exc)))
+    return results

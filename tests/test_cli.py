@@ -339,6 +339,8 @@ class TestVerify:
         assert line.startswith("PASS spectral-consistency: max residual ")
         assert "(tol 1.0e-06)" in line
         assert float(line.split("max residual ")[1].split()[0]) < 1e-12
+        # the override compares raw residuals, so nothing is scaled
+        assert line.endswith("(tol 1.0e-06); 100 graphs")
 
     def test_spectral_zero_tolerance_fails(self, capsys, tmp_path, monkeypatch):
         # used to end in a ZeroDivisionError traceback

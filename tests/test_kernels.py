@@ -3,6 +3,7 @@ lockstep walks against a scalar reference walker, block-size invariance, and
 the exhaustive tree scan against an independent decoder."""
 
 import hashlib
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -136,6 +137,18 @@ def ref_visits(g, src, dst, seed, run_start, runs, cap):
     return sums, sumsq, capped
 
 
+def weighted_hub(leaves=320, seed=5):
+    """Node 0 joined to `leaves` nodes with weights 10**-6..10**6, spread
+    log-uniformly in shuffled order, and the leaves chained by unit edges.
+    Leaves 1 and n-1 carry the two heaviest weights, so walks from the hub
+    reach either within a few dozen steps, and each hub step searches a
+    slice longer than any other case's."""
+    exps = np.linspace(6, -6, leaves)
+    order = [exps[0], *np.random.default_rng(seed).permutation(exps[2:]), exps[1]]
+    edges = [(0, v, 10.0 ** e) for v, e in enumerate(order, 1)]
+    return Graph(leaves + 1, edges + [(v, v + 1) for v in range(1, leaves)])
+
+
 RANDOM12 = random_connected(np.random.default_rng(3), 12, weighted=True)
 WEIGHTED = [
     Graph(3, [(0, 1, 1.0), (1, 2, 9.0), (0, 2, 0.5)]),
@@ -146,6 +159,7 @@ WEIGHTED = [
     Graph(6, [(0, 1, 5e-324), (0, 2, 5e-324), (1, 3, 1.0), (2, 3, 1.0),
               (3, 4, 1.0), (3, 5, 1.0)]),
     RANDOM12,
+    weighted_hub(),
 ]
 REF_CASES = [(g, dst, seed, run_start, cap)
              for g in [path_graph(5), complete_graph(5), *WEIGHTED]
@@ -154,8 +168,7 @@ REF_CASES = [(g, dst, seed, run_start, cap)
                                                (g.n - 1, 7, 37, 1)]]
 
 
-@pytest.mark.parametrize("g, dst, seed, run_start, cap", REF_CASES)
-def test_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, cap):
+def assert_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, cap):
     runs = 60
     indptr, nbrs, cumw = g.csr()
     monkeypatch.setattr(_kernels, "STEP_CAP", cap)
@@ -168,6 +181,18 @@ def test_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, cap)
     want = ref_visits(g, 0, dst, seed, run_start, runs, cap)
     assert np.array_equal(sums, want[0]) and np.array_equal(sumsq, want[1])
     assert capped == want[2]
+
+
+@pytest.mark.parametrize("g, dst, seed, run_start, cap", REF_CASES)
+def test_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, cap):
+    # 60 runs are few enough that every step takes the sorted search
+    assert_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, cap)
+
+
+@pytest.mark.parametrize("g, dst, seed, run_start, cap", REF_CASES)
+def test_bisection_matches_reference_walker(monkeypatch, g, dst, seed, run_start, cap):
+    monkeypatch.setattr(_kernels, "SEARCH_RUNS", 0)
+    assert_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, cap)
 
 
 def test_walk_steps_pinned_on_preset():
@@ -188,6 +213,26 @@ def test_walk_visits_chunk_invariant():
     assert np.array_equal(whole[0], a[0] + b[0])
     assert np.array_equal(whole[1], a[1] + b[1])
     assert whole[2] == a[2] + b[2] == 0
+
+
+def test_walk_visits_draw_block_stays_within_budget(monkeypatch):
+    # one block of 20000 runs: the draws start one step per run and widen as
+    # runs arrive, keeping runs x steps within DRAW_CELLS. Measured peak
+    # 2.9 MB; four times the budget reaches 4.9 MB
+    monkeypatch.setattr(_kernels, "RUN_BLOCK", 1 << 20)
+    g = path_graph(5)
+    indptr, nbrs, cumw = g.csr()
+    runs = 20000
+    _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 4, 10, 3)  # warm caches
+    tracemalloc.start()
+    try:
+        sums = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 4, runs, 3)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.sum() > 10 * runs  # 16 steps per walk on average
+    counters = runs * g.n * 8  # the block's visit counters, copied twice to reduce
+    assert peak < 3 * counters + 8 * 8 * _kernels.DRAW_CELLS
 
 
 def test_walks_independent_of_block_size(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,7 +8,7 @@ from lapcent import (ConstraintError, Graph, TopologySpec, components,
                      degree_sequence, export_dot, format_edge_list,
                      gen_core_gateway, is_connected, abilene_topology,
                      pert_preset, rewire, sensitivity_report)
-from lapcent import topology
+from lapcent import cli, topology
 from lapcent.graph import GraphError
 from lapcent.topology import DOWN, FLAT, UP, graph_descriptors
 from lapcent.verify import VerifyConfig, run_checks
@@ -89,6 +90,18 @@ class TestGenerator:
         assert not res.passed
         assert "expected 65 nodes, got 64" in res.detail
         assert res.line().startswith("FAIL generator: ")
+
+    def test_graph_error_in_any_check_is_its_fail_line(self, monkeypatch, capsys):
+        # pert2 removes v24-v25, which this preset lacks: pert_preset raised
+        # out of the sensitivity check and ended `verify` with exit 2
+        monkeypatch.setattr(topology, "ABILENE_PRESET", dataclasses.replace(
+            topology.ABILENE_PRESET, redundant_pairs=((21, 22), (15, 14))))
+        (res,) = run_checks(VerifyConfig(), only="sensitivity")
+        assert res.line() == "FAIL sensitivity-directions: cannot remove missing edge (23,24)"
+        assert cli.main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL sensitivity-directions: cannot remove missing edge (23,24)" in lines
+        assert lines[-1] == "23/25 checks passed"
 
 
 class TestPerturbations:
