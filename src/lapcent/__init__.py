@@ -13,8 +13,8 @@ import importlib
 
 _EXPORTS = {
     "graph": ("DisconnectedError", "EdgeListError", "Graph", "GraphError", "components",
-              "degree_sequence", "diameter", "format_edge_list", "is_connected",
-              "load_edge_list", "parse_edge_list", "rewire", "shortest_path_distances"),
+              "degree_sequence", "format_edge_list", "is_connected", "load_edge_list",
+              "parse_edge_list", "rewire", "shortest_path_distances"),
     "spectral": ("SpectralBundle", "build_spectral", "effective_resistance",
                  "kirchhoff_index", "resistance_matrix", "spectral_report",
                  "topological_centrality"),

@@ -175,10 +175,11 @@ def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0):
         visits = np.zeros((count, n), np.int64)
         steps = _walk_block(indptr, nbrs, cumw, src, dst, run_start + start,
                             count, seed, visits)
-        done = visits[steps >= 0]
-        capped += count - len(done)
-        sums += done.sum(axis=0)
-        sumsq += (done * done).sum(axis=0)
+        over = steps < 0
+        capped += int(np.count_nonzero(over))
+        visits[over] = 0
+        sums += visits.sum(axis=0)
+        sumsq += np.square(visits, out=visits).sum(axis=0)
     return sums.astype(np.float64), sumsq.astype(np.float64), capped
 
 

@@ -170,12 +170,13 @@ def cmd_sensitivity(args) -> int:
 def cmd_export_dot(args) -> int:
     from .graph import GraphError, load_edge_list
     from .topology import export_dot
-    from .zoo import centrality_report
+    from .zoo import CentralityReport, centrality_report
 
+    if args.metric not in CentralityReport.PER_NODE:
+        raise GraphError(f"unknown metric {args.metric!r}; "
+                         f"pick one of {CentralityReport.PER_NODE}")
     g = load_edge_list(args.graph)
     rep = centrality_report(g)
-    if args.metric not in rep.PER_NODE:
-        raise GraphError(f"unknown metric {args.metric!r}; pick one of {rep.PER_NODE}")
     _write(export_dot(g, getattr(rep, args.metric), metric=args.metric), args.output)
     return 0
 

@@ -6,8 +6,8 @@ graphs (all weights 1.0) fall back to plain hop counts.
 
 `Graph` is the one place that applies the edge rules and the one owner of
 the views derived from its edges (edge arrays, adjacency, degrees,
-Laplacian, CSR, components): each is computed on first use, cached and
-returned read-only.
+Laplacian, CSR, components, geodesic distances): each is computed on first
+use, cached and returned read-only.
 """
 
 from __future__ import annotations
@@ -160,6 +160,10 @@ class Graph:
     def _components(self):
         return _search_components(self)
 
+    @cached_property
+    def _spd(self):
+        return _frozen(_floyd_warshall(self))
+
     def has_edge(self, u, v):
         key = (u, v) if u < v else (v, u)
         i = bisect_left(self.edges, key)
@@ -290,12 +294,16 @@ def require_nodes(g: Graph, *ids):
 
 
 def shortest_path_distances(g: Graph) -> np.ndarray:
-    """All-pairs geodesic distances by Floyd-Warshall, O(n^3).
+    """All-pairs geodesic distances, read-only; computed once per graph.
 
     Hop counts for unweighted graphs; weighted edges contribute length 1/w
-    (weights are affinities). Each of the n relaxations through a pivot k
-    is one whole-matrix numpy pass. Raises on disconnected input.
+    (weights are affinities). Raises on disconnected input.
     """
+    return g._spd
+
+
+def _floyd_warshall(g: Graph) -> np.ndarray:
+    """Floyd-Warshall, O(n^3): one whole-matrix numpy pass per pivot k."""
     require_connected(g, "shortest_path_distances")
     a = g.adjacency
     with np.errstate(divide="ignore"):
@@ -304,10 +312,6 @@ def shortest_path_distances(g: Graph) -> np.ndarray:
     for k in range(g.n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     return dist
-
-
-def diameter(g: Graph) -> float:
-    return float(shortest_path_distances(g).max())
 
 
 # -- rewiring ----------------------------------------------------------

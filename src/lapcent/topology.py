@@ -220,6 +220,7 @@ def sensitivity_report(before: Graph, after: Graph) -> SensitivityReport:
 
 # -- rendering -----------------------------------------------------------
 
+DOT_TIE_RTOL = 1e-9  # a spread within this share of max|values| is rounding: one colour
 _HUE_MAX = 0.4833  # turquoise; 0.0 is red
 _SATURATION = 0.78
 _VALUE = 0.92
@@ -234,18 +235,19 @@ def _ramp_color(t: float) -> str:
 
 def export_dot(g: Graph, values, metric: str = "metric") -> str:
     """DOT text with nodes filled on a red-to-turquoise ramp by descending
-    value. Deterministic bytes for fixed input."""
+    value, all red when tied within DOT_TIE_RTOL; deterministic bytes."""
     values = np.asarray(values, dtype=float)
     if values.shape != (g.n,):
         raise GraphError(f"expected {g.n} values, got {values.shape}")
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo
+    tied = span <= DOT_TIE_RTOL * max(abs(lo), abs(hi))
     lines = [
         f"graph {metric} {{",
         "  node [shape=circle, style=filled];",
     ]
     for i in range(g.n):
-        t = 1.0 if span == 0.0 else (values[i] - lo) / span
+        t = 1.0 if tied else (values[i] - lo) / span
         lines.append(
             f'  {i} [label="{i}", fillcolor="{_ramp_color(t)}"];'
         )

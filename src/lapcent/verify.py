@@ -239,7 +239,7 @@ def check_detour_average(g):
     """Average forced-detour overhead through k equals l+_kk."""
     b = build_spectral(g)
     ht = hitting_times_exact(g)
-    return max(abs(average_detour_overhead(g, k, ht=ht) - b.diag[k]) for k in range(g.n))
+    return max(abs(average_detour_overhead(ht, k) - b.diag[k]) for k in range(g.n))
 
 
 @Sweep("commute-resistance", 100, 4, 12, "100 random connected graphs", tol=1e-9)
@@ -499,7 +499,8 @@ def randomwalk_betweenness_by_solves(g: Graph) -> np.ndarray:
 @Sweep("rb-solves", 20, 3, 8, "20 graphs", tol=1e-9)
 def check_rb_solves(g):
     """Current-flow betweenness: pseudo-inverse route vs per-pair solves."""
-    return float(np.max(np.abs(randomwalk_betweenness(g) - randomwalk_betweenness_by_solves(g))))
+    return float(np.max(np.abs(randomwalk_betweenness(build_spectral(g))
+                                - randomwalk_betweenness_by_solves(g))))
 
 
 @register("transitive-constancy")

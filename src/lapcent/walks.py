@@ -55,18 +55,16 @@ def detour_overhead(ht: HittingTable, i: int, k: int, j: int) -> float:
     return float(ht.H[i, k] + ht.H[k, j] - ht.H[i, j])
 
 
-def average_detour_overhead(g: Graph, k: int, ht: HittingTable | None = None) -> float:
+def average_detour_overhead(ht: HittingTable, k: int) -> float:
     """Mean detour overhead through transit k over all (i, j) pairs,
     normalized by n^2 Vol(G).
 
     The double sum runs over all ordered pairs including i == j and
     i == k == j. The value equals l+_kk (verify's detour-average checks
-    that). Pass a precomputed table to reuse it across transit nodes.
+    that).
     """
-    if ht is None:
-        ht = hitting_times_exact(g)
-    n = g.n
     H = ht.H
+    n = H.shape[0]
     total = n * H[:, k].sum() + n * H[k, :].sum() - H.sum()
     return float(total / (n * n * ht.vol))
 

@@ -34,15 +34,12 @@ BLOCK_CELLS = 2**20  # array cells per block of sources (gb) or of edges (rb)
 LOG_DBL_MAX = math.log(np.finfo(np.float64).max)  # 709.78: exp overflows above it
 
 
-def geodesic_closeness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
-    """(n-1) / sum_j SPD(i,j). Pass `spd`, shortest_path_distances(g), when
-    the caller already holds it."""
-    if spd is None:
-        spd = shortest_path_distances(g)
-    return (g.n - 1) / spd.sum(axis=1)
+def geodesic_closeness(g: Graph) -> np.ndarray:
+    """(n-1) / sum_j SPD(i,j)."""
+    return (g.n - 1) / shortest_path_distances(g).sum(axis=1)
 
 
-def geodesic_betweenness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
+def geodesic_betweenness(g: Graph) -> np.ndarray:
     """Freeman betweenness: sum over pairs s < t of sigma_st(v)/sigma_st.
 
     Brandes' dependency accumulation for a block of sources at once.
@@ -51,11 +48,9 @@ def geodesic_betweenness(g: Graph, spd: np.ndarray | None = None) -> np.ndarray:
     rounding a sum of up to n lengths can carry. Path counts
     sigma grow one hop layer of every source's shortest-path DAG per pass;
     the backward passes push 1/sigma the other way, so that sigma times
-    their sum is the dependency of s on each node. `spd` as in
-    geodesic_closeness.
+    their sum is the dependency of s on each node.
     """
-    if spd is None:
-        spd = shortest_path_distances(g)
+    spd = shortest_path_distances(g)
     n = g.n
     eu, ev, ew = g.edge_arrays
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
@@ -107,7 +102,7 @@ def subgraph_centrality(g: Graph) -> np.ndarray:
     return (vecs**2) @ np.exp(mu)
 
 
-def randomwalk_betweenness(g: Graph, b: SpectralBundle | None = None) -> np.ndarray:
+def randomwalk_betweenness(b: SpectralBundle) -> np.ndarray:
     """Current-flow betweenness from pseudo-inverse voltages.
 
     A unit s->t injection drives x[s] - x[t] through edge (u, v), where
@@ -116,9 +111,7 @@ def randomwalk_betweenness(g: Graph, b: SpectralBundle | None = None) -> np.ndar
     the pairs it terminates. A degree-1 node that is not a terminal carries
     no current, so its value is exactly 0.
     """
-    if b is None:
-        b = build_spectral(g)
-    n = g.n
+    g, n = b.graph, b.n
     if n < 3:
         return np.zeros(n)
     eu, ev, ew = g.edge_arrays
@@ -190,13 +183,12 @@ class CentralityReport:
 def centrality_report(g: Graph) -> CentralityReport:
     b = build_spectral(g)
     k, kstar = kirchhoff_index(b)
-    spd = shortest_path_distances(g)
     return CentralityReport(
         degree=g.degrees.copy(),
-        gc=geodesic_closeness(g, spd),
+        gc=geodesic_closeness(g),
         sc=subgraph_centrality(g),
-        gb=geodesic_betweenness(g, spd),
-        rb=randomwalk_betweenness(g, b),
+        gb=geodesic_betweenness(g),
+        rb=randomwalk_betweenness(b),
         cstar=topological_centrality(b),
         kirchhoff=k,
         kstar=kstar,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapcent import Graph, SpectralBundle
+from lapcent import Graph, SpectralBundle, zoo
 from lapcent.cli import main
 
 P3 = "0 1\n1 2\n"
@@ -430,7 +430,11 @@ class TestExportDot:
         assert out.startswith("graph cstar {")
         assert "fillcolor" in out
 
-    def test_unknown_metric(self, capsys, p3_file):
+    def test_unknown_metric(self, capsys, p3_file, monkeypatch):
+        def refuse(g):
+            raise AssertionError("an index was computed")
+
+        monkeypatch.setattr(zoo, "centrality_report", refuse)
         code, _, err = run(capsys, "export-dot", p3_file, "--metric", "bogus")
         assert code == 2 and "unknown metric" in err
 

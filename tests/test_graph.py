@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapcent import (DisconnectedError, EdgeListError, Graph, GraphError,
-                     components, degree_sequence, diameter, format_edge_list,
-                     is_connected, parse_edge_list, rewire,
-                     shortest_path_distances)
+                     components, degree_sequence, format_edge_list, is_connected,
+                     parse_edge_list, rewire, shortest_path_distances)
 
 from helpers import complete_graph, path_graph, random_connected
 
@@ -142,10 +141,14 @@ class TestShortestPaths:
         off = spd[~np.eye(3, dtype=bool)]
         assert np.all(off == 1.0)
 
-    def test_p4_diameter(self):
+    def test_one_read_only_array_per_graph(self):
         g = path_graph(4)
-        assert shortest_path_distances(g)[0, 3] == 3.0
-        assert diameter(g) == 3.0
+        spd = shortest_path_distances(g)
+        assert spd[0, 3] == 3.0
+        assert shortest_path_distances(g) is spd
+        assert not spd.flags.writeable
+        with pytest.raises(ValueError):
+            spd[0, 3] = 0.0
 
     def test_weighted_uses_inverse_weight(self):
         g = Graph(3, [(0, 1, 2.0), (1, 2, 4.0)])

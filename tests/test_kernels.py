@@ -11,7 +11,7 @@ import pytest
 
 from lapcent import Graph, _kernels, abilene_topology
 
-from helpers import complete_graph, path_graph, random_connected, tree_from_pruefer
+from helpers import complete_graph, path_graph, random_connected, star_graph, tree_from_pruefer
 
 M64 = (1 << 64) - 1
 GOLD = 0x9E3779B97F4A7C15
@@ -231,8 +231,26 @@ def test_walk_visits_draw_block_stays_within_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sums.sum() > 10 * runs  # 16 steps per walk on average
-    counters = runs * g.n * 8  # the block's visit counters, copied twice to reduce
+    counters = runs * g.n * 8  # the block's visit counters
     assert peak < 3 * counters + 8 * 8 * _kernels.DRAW_CELLS
+
+
+def test_walk_visits_reduce_in_place():
+    # one full block on a 200-node star, 16.8 MB of counters: the sums and
+    # squares are taken without copying them (measured 1.08x; copying the
+    # finished rows and then their squares peaked at 3.0x)
+    g = star_graph(200)
+    indptr, nbrs, cumw = g.csr()
+    runs = _kernels.VISIT_CELLS // g.n
+    _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 1, 10, 3)  # warm caches
+    tracemalloc.start()
+    try:
+        sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 1, runs, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capped == 0 and sums[1] == 0 and sumsq[0] >= sums[0] > runs
+    assert peak <= 1.5 * runs * g.n * 8
 
 
 def test_walks_independent_of_block_size(monkeypatch):

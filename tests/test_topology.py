@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lapcent import (ConstraintError, Graph, TopologySpec, components,
+from lapcent import (ConstraintError, Graph, TopologySpec, centrality_report, components,
                      degree_sequence, export_dot, format_edge_list,
                      gen_core_gateway, is_connected, abilene_topology,
                      pert_preset, rewire, sensitivity_report)
@@ -13,7 +13,7 @@ from lapcent.graph import GraphError
 from lapcent.topology import DOWN, FLAT, UP, graph_descriptors
 from lapcent.verify import VerifyConfig, run_checks
 
-from helpers import path_graph
+from helpers import complete_graph, cycle_graph, path_graph
 
 
 def v(k):
@@ -207,6 +207,18 @@ class TestDotExport:
         colors = {line.split('fillcolor="')[1][:7]
                   for line in dot.splitlines() if "fillcolor" in line}
         assert len(colors) == 1
+
+    @pytest.mark.parametrize("g", [complete_graph(3), cycle_graph(6), complete_graph(6)],
+                             ids=["K3", "C6", "K6"])
+    def test_rounding_ties_single_color(self, g):
+        # vertex-transitive: every index is constant up to rounding, e.g. C*
+        # on K3 reads 4.499999999999998 and 4.5
+        rep = centrality_report(g)
+        for metric in rep.PER_NODE:
+            dot = export_dot(g, getattr(rep, metric), metric=metric)
+            colors = {line.split('fillcolor="')[1][:7]
+                      for line in dot.splitlines() if "fillcolor" in line}
+            assert len(colors) == 1, metric
 
     def test_length_mismatch(self):
         with pytest.raises(GraphError):

@@ -8,7 +8,7 @@ from lapcent import (Graph, abilene_topology, build_spectral, centrality_report,
                      geodesic_betweenness, geodesic_closeness, max_normalized,
                      randic_index, randomwalk_betweenness,
                      subgraph_centrality)
-from lapcent import zoo
+from lapcent import graph, zoo
 from lapcent.graph import GraphError
 from lapcent.verify import randomwalk_betweenness_by_solves
 
@@ -56,6 +56,16 @@ class TestGeodesicBetweenness:
         # set by the 1e8-long edge to node 3 counted it as a second geodesic
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1 / (2 + 1e-5)), (0, 3, 1e-8)])
         assert geodesic_betweenness(g).tolist() == [2.0, 2.0, 0.0, 0.0]
+
+
+def test_gc_then_gb_run_floyd_warshall_once(monkeypatch):
+    runs = []
+    floyd_warshall = graph._floyd_warshall
+    monkeypatch.setattr(graph, "_floyd_warshall", lambda g: runs.append(g) or floyd_warshall(g))
+    g = cycle_graph(5)
+    assert np.allclose(geodesic_closeness(g), 4 / 6)
+    assert np.allclose(geodesic_betweenness(g), 1.0)
+    assert runs == [g]
 
 
 class TestSubgraphCentrality:
@@ -106,18 +116,19 @@ class TestSubgraphCentrality:
 
 class TestRandomWalkBetweenness:
     def test_p3(self):
-        assert np.allclose(randomwalk_betweenness(path_graph(3)), [0.0, 1.0, 0.0])
+        rb = randomwalk_betweenness(build_spectral(path_graph(3)))
+        assert np.allclose(rb, [0.0, 1.0, 0.0])
 
     def test_vertex_transitive_constant(self):
         for g in (complete_graph(3), cycle_graph(5)):
-            rb = randomwalk_betweenness(g)
+            rb = randomwalk_betweenness(build_spectral(g))
             assert np.ptp(rb) <= 1e-12
 
     def test_matches_per_pair_solves(self):
         rng = np.random.default_rng(1)
         for _ in range(8):
             g = random_connected(rng, int(rng.integers(3, 9)))
-            gap = np.max(np.abs(randomwalk_betweenness(g)
+            gap = np.max(np.abs(randomwalk_betweenness(build_spectral(g))
                                 - randomwalk_betweenness_by_solves(g)))
             assert gap <= 1e-9
 
@@ -125,7 +136,7 @@ class TestRandomWalkBetweenness:
         # a degree-1 node that is not a terminal carries no current; the
         # potential differences used to leave noise such as 9.46e-17
         g = abilene_topology()
-        rb = randomwalk_betweenness(g)
+        rb = randomwalk_betweenness(build_spectral(g))
         leaves = np.bincount(np.ravel([e[:2] for e in g.edges]), minlength=g.n) == 1
         assert leaves.sum() == 47
         assert (rb[leaves] == 0.0).all()
@@ -142,12 +153,12 @@ class TestBlocks:
             g = abilene_topology()
         else:
             g = random_connected(np.random.default_rng(40), 40, p=0.12, weighted=True)
-        gb, rb = geodesic_betweenness(g), randomwalk_betweenness(g)
+        gb, rb = geodesic_betweenness(g), randomwalk_betweenness(build_spectral(g))
         cells = 7 * (2 * g.m) + 1  # 7 sources, cells // n edges per block
         assert g.n % 7 and g.m % (cells // g.n)
         monkeypatch.setattr(zoo, "BLOCK_CELLS", cells)
         assert rel_gap(geodesic_betweenness(g), gb) <= 1e-14
-        assert rel_gap(randomwalk_betweenness(g), rb) <= 1e-14
+        assert rel_gap(randomwalk_betweenness(build_spectral(g)), rb) <= 1e-14
 
     @pytest.mark.parametrize("cells", [1, 2**20])
     @pytest.mark.parametrize("g, gb, rb", [
@@ -158,7 +169,7 @@ class TestBlocks:
     def test_small_graphs(self, monkeypatch, cells, g, gb, rb):
         monkeypatch.setattr(zoo, "BLOCK_CELLS", cells)
         assert np.allclose(geodesic_betweenness(g), gb, rtol=0, atol=1e-12)
-        got = randomwalk_betweenness(g)
+        got = randomwalk_betweenness(build_spectral(g))
         assert np.allclose(got, rb, rtol=0, atol=1e-12)
         assert (got[np.array(rb) == 0] == 0.0).all()
 
