@@ -59,9 +59,7 @@ def cmd_compare(args) -> int:
     from .graph import load_edge_list
     from .zoo import centrality_report
 
-    g = load_edge_list(args.graph)
-    rep = centrality_report(g)
-    rows = rep.csv_rows(g)
+    rows = centrality_report(load_edge_list(args.graph)).csv_rows()
     _write("\n".join(",".join(r) for r in rows) + "\n", args.output)
     return 0
 
@@ -176,8 +174,8 @@ def cmd_export_dot(args) -> int:
         raise GraphError(f"unknown metric {args.metric!r}; "
                          f"pick one of {CentralityReport.PER_NODE}")
     g = load_edge_list(args.graph)
-    rep = centrality_report(g)
-    _write(export_dot(g, getattr(rep, args.metric), metric=args.metric), args.output)
+    values = getattr(centrality_report(g), args.metric)  # computes only this index
+    _write(export_dot(g, values, metric=args.metric), args.output)
     return 0
 
 

@@ -688,10 +688,12 @@ def run_checks(cfg: VerifyConfig, only: str | None = None):
 
     A GraphError raised inside a check, such as a violated preset
     constraint, becomes that check's FAIL result; the other checks still
-    run. Raises ValueError before running anything if `cfg.tolerance` is
-    not a finite number >= 0, or if `cfg.max_n` lies below a selected
-    sweep's smallest instance size.
+    run. Raises ValueError before running anything if `cfg.seed` lies
+    outside [0, 2**64), if `cfg.tolerance` is not a finite number >= 0, or
+    if `cfg.max_n` lies below a selected sweep's smallest instance size.
     """
+    if not 0 <= cfg.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {cfg.seed}")
     if cfg.tolerance is not None and not 0 <= cfg.tolerance < math.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
     selected = [(name, fn) for name, fn in ALL_CHECKS if not only or only in name]

@@ -16,16 +16,19 @@ betweenness is Brandes' (2001) dependency accumulation by hop layers of the
 shortest-path DAGs of a block of sources at once; current flow sums sorted
 edge potentials (Brandes & Fleischer 2005), O(m n log n) once L+ is known.
 A block holds at most BLOCK_CELLS array cells, so memory stays O(n^2).
+
+A CentralityReport computes each index on its first read, so a caller pays
+only for what it reads: `export-dot` computes the one metric it prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, GraphError, shortest_path_distances
+from .graph import Graph, GraphError, require_connected, shortest_path_distances
 from .spectral import (SpectralBundle, build_spectral, kirchhoff_index,
                        topological_centrality)
 
@@ -144,21 +147,27 @@ def max_normalized(values: np.ndarray) -> np.ndarray:
     return values / top
 
 
-@dataclass(frozen=True)
 class CentralityReport:
-    """Per-node indices plus graph-level descriptors and averages."""
-
-    degree: np.ndarray
-    gc: np.ndarray
-    sc: np.ndarray
-    gb: np.ndarray
-    rb: np.ndarray
-    cstar: np.ndarray
-    kirchhoff: float
-    kstar: float
-    randic: float
+    """The comparison indices of one connected graph, each computed on its
+    first read and kept: gc and gb share the graph's cached distances, and
+    rb, C*, K and K* share one L+ bundle. Build it with centrality_report."""
 
     PER_NODE = ("degree", "gc", "sc", "gb", "rb", "cstar")
+
+    def __init__(self, g: Graph):
+        self.graph = g
+
+    degree = cached_property(lambda self: self.graph.degrees.copy())
+    gc = cached_property(lambda self: geodesic_closeness(self.graph))
+    sc = cached_property(lambda self: subgraph_centrality(self.graph))
+    gb = cached_property(lambda self: geodesic_betweenness(self.graph))
+    _bundle = cached_property(lambda self: build_spectral(self.graph))
+    rb = cached_property(lambda self: randomwalk_betweenness(self._bundle))
+    cstar = cached_property(lambda self: topological_centrality(self._bundle))
+    _kirchhoff = cached_property(lambda self: kirchhoff_index(self._bundle))
+    kirchhoff = property(lambda self: self._kirchhoff[0])
+    kstar = property(lambda self: self._kirchhoff[1])
+    randic = cached_property(lambda self: randic_index(self.graph))
 
     def averages(self):
         return {name: float(getattr(self, name).mean()) for name in self.PER_NODE}
@@ -166,13 +175,13 @@ class CentralityReport:
     def normalized(self):
         return {name: max_normalized(getattr(self, name)) for name in self.PER_NODE}
 
-    def csv_rows(self, g: Graph):
+    def csv_rows(self):
         norm = self.normalized()
         header = ["node", "label"]
         for name in self.PER_NODE:
             header += [name, f"{name}_norm"]
         rows = [header]
-        for i in range(g.n):
+        for i in range(self.graph.n):
             row = [str(i), str(i)]
             for name in self.PER_NODE:
                 row += [f"{getattr(self, name)[i]:.12g}", f"{norm[name][i]:.12g}"]
@@ -181,16 +190,7 @@ class CentralityReport:
 
 
 def centrality_report(g: Graph) -> CentralityReport:
-    b = build_spectral(g)
-    k, kstar = kirchhoff_index(b)
-    return CentralityReport(
-        degree=g.degrees.copy(),
-        gc=geodesic_closeness(g),
-        sc=subgraph_centrality(g),
-        gb=geodesic_betweenness(g),
-        rb=randomwalk_betweenness(b),
-        cstar=topological_centrality(b),
-        kirchhoff=k,
-        kstar=kstar,
-        randic=randic_index(g),
-    )
+    """The report of a connected graph; a disconnected one raises up front,
+    whichever index is read."""
+    require_connected(g, "centrality report")
+    return CentralityReport(g)

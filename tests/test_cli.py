@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapcent import Graph, SpectralBundle, zoo
+from lapcent import Graph, SpectralBundle, abilene_topology, format_edge_list, zoo
 from lapcent.cli import main
+
+from helpers import ring_chords
 
 P3 = "0 1\n1 2\n"
 
@@ -204,13 +206,25 @@ class TestCompare:
         # exit 2 on a non-finite JSON value (sensitivity)
         path = tmp_path / "heavy.el"
         path.write_text("0 1 800\n1 2 1\n")
-        for argv in (["compare", str(path)], ["sensitivity", str(path), str(path), "--json"]):
+        for argv in (["compare", str(path)], ["sensitivity", str(path), str(path), "--json"],
+                     ["export-dot", str(path), "--metric", "sc"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert err == ("error: subgraph centrality overflows float64: lambda_max(A) = "
                            "800.001 exceeds log(DBL_MAX / n) = 708.684\n")
+
+    @pytest.mark.parametrize("argv", [["compare", "{}"], ["sensitivity", "{}", "{}"],
+                                      ["export-dot", "{}", "--metric", "degree"]],
+                             ids=["compare", "sensitivity", "export-dot"])
+    def test_disconnected_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "two.el"
+        path.write_text("0 1\n2 3\n")
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert code == 2 and out == ""
+        assert err == ("error: centrality report requires a connected graph; "
+                       "second component: [2, 3]\n")
 
 
 class TestHitting:
@@ -358,6 +372,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "3", "--only", "forest")
         assert code == 0 and out.startswith("PASS forest-diagonal")
 
+    @pytest.mark.parametrize("only", ["mc", "detour-average"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_uint64_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                only, seed):
+        # mc used to print two FAIL lines at exit 1; other checks exited 2
+        # with numpy's message, which named no option
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "verify", "--seed", seed, "--only", only)
+        assert code == 2 and out == ""
+        assert err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_filter(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "zzz-no-such")
         assert code == 2 and "no check matches" in err
@@ -438,6 +464,27 @@ class TestExportDot:
         code, _, err = run(capsys, "export-dot", p3_file, "--metric", "bogus")
         assert code == 2 and "unknown metric" in err
 
+    @pytest.mark.parametrize("metric, refused", [
+        ("degree", ("build_spectral", "shortest_path_distances", "subgraph_centrality")),
+        ("cstar", ("shortest_path_distances", "subgraph_centrality")),
+    ], ids=["degree", "cstar"])
+    def test_computes_only_its_metric(self, capsys, p3_file, monkeypatch, metric, refused):
+        def refuse(*args):
+            raise AssertionError("an index that is not printed was computed")
+
+        for name in refused:
+            monkeypatch.setattr(zoo, name, refuse)
+        code, out, _ = run(capsys, "export-dot", p3_file, "--metric", metric)
+        assert code == 0 and out.startswith(f"graph {metric} {{")
+
+    @pytest.mark.parametrize("metric", ["degree", "cstar"])
+    def test_subgraph_overflow_does_not_stop_other_metrics(self, capsys, tmp_path, metric):
+        # used to exit 2 with sc's overflow, an index neither metric prints
+        path = tmp_path / "heavy.el"
+        path.write_text("0 1 800\n1 2 1\n")
+        code, out, _ = run(capsys, "export-dot", str(path), "--metric", metric)
+        assert code == 0 and out.startswith(f"graph {metric} {{")
+
 
 # SHA-256 of stdout on the bundled preset topology.
 PRESET_PINS = {
@@ -452,6 +499,23 @@ PRESET_PINS = {
 SENSITIVITY_PINS = {
     ("preset", "pert1"): "f540a6d71c07ae0aa91c6e65fc9530144b71b28a3c65da7fbb16a29c9ea8ae44",
     ("pert1", "pert2", "--json"): "046f28f8679a5179de85322bdacb4fc7d4da872a6d104b672506637d64f4835e",
+}
+
+# SHA-256 of `export-dot --metric M` stdout on the preset and on weighted
+# ring-chords at n = 300 (see test_export_dot_output_bytes).
+EXPORT_DOT_PINS = {
+    ("preset", "degree"): "c40d2244f14fa3d84d27f4af47d531205c202ef5136fafd051d1790c58fe6b75",
+    ("preset", "gc"): "a609e7450196ed9063fd76c30c39e05a4a9085f4131ca35da4b52d24af4127b2",
+    ("preset", "sc"): "7726dee7b9624a661b970a59a0e94a086453e9c76d6957cd3fc4e5e0a254ee0a",
+    ("preset", "gb"): "1032425a6db2faaf6cbfcdb179c53bbae26a1631547c57a9f96242ddd823a2ad",
+    ("preset", "rb"): "820a99da15b1e046271bbfc5905eb24ca2d07f6692eb01bf9496615cbf73d9f5",
+    ("preset", "cstar"): "7ee1b09f23feb503ac78aaeade2062daaef15619b18562a53cf694f52adc058f",
+    ("ring300", "degree"): "147da5554404e08032367e8b3b953b0536ba320abbe6432964841bca3f0e7d97",
+    ("ring300", "gc"): "cf2461359f031f3d62b6a7d3ba8ef20d49b5a83c14c1324ad7b2f143485680f2",
+    ("ring300", "sc"): "be3d2d49883313464e823b669ca047e64685855fa7dab88719897403b79eecd1",
+    ("ring300", "gb"): "8e00c0e6ea50b6498b79b63475ec4a3a168ad4a4b32e78edf972959a621c8cf6",
+    ("ring300", "rb"): "0e30da1cb4c58204ac56b6fc636f879df0a1ba5f9fd455dba27445d1670f8ee1",
+    ("ring300", "cstar"): "77539e6d7c30e7a699b12b179b436d35a225cae0501e617789ec726f2097aba1",
 }
 
 # SHA-256 of `verify --seed 42` stdout.
@@ -487,6 +551,20 @@ def test_sensitivity_output_bytes(capsys, preset_files, argv):
     code, out, _ = run(capsys, "sensitivity", preset_files[before], preset_files[after], *flags)
     assert code == 0
     assert sha256(out) == SENSITIVITY_PINS[argv]
+
+
+@pytest.mark.parametrize("key", list(EXPORT_DOT_PINS), ids=" ".join)
+def test_export_dot_output_bytes(capsys, tmp_path, key):
+    name, metric = key
+    if name == "preset":
+        g = abilene_topology()
+    else:  # weighted ring-chords, n = 300
+        g = ring_chords(np.random.default_rng(300), 300, lambda rng, m: rng.uniform(0.5, 2.0, m))
+    path = tmp_path / f"{name}.el"
+    path.write_text(format_edge_list(g))
+    code, out, _ = run(capsys, "export-dot", str(path), "--metric", metric)
+    assert code == 0
+    assert sha256(out) == EXPORT_DOT_PINS[key]
 
 
 def test_analyze_text_and_csv_skip_the_spectrum(capsys, preset_files, monkeypatch):

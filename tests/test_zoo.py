@@ -68,6 +68,25 @@ def test_gc_then_gb_run_floyd_warshall_once(monkeypatch):
     assert runs == [g]
 
 
+def test_report_builds_one_bundle_for_rb_cstar_and_kirchhoff(monkeypatch):
+    bundles = []
+    monkeypatch.setattr(zoo, "build_spectral",
+                        lambda g: bundles.append(g) or build_spectral(g))
+    g = cycle_graph(5)
+    rep = centrality_report(g)
+    assert bundles == []
+    assert rep.rb.shape == rep.cstar.shape == (5,)
+    assert rep.kirchhoff * rep.kstar == pytest.approx(1.0)
+    assert bundles == [g]
+
+
+def test_report_computes_each_index_once():
+    rep = centrality_report(random_connected(np.random.default_rng(4), 8))
+    for name in (*rep.PER_NODE, "kirchhoff", "kstar", "randic"):
+        first = getattr(rep, name)
+        assert getattr(rep, name) is first
+
+
 class TestSubgraphCentrality:
     def test_k3_eigenvalue_form(self):
         sc = subgraph_centrality(complete_graph(3))
@@ -208,7 +227,7 @@ class TestNormalizationAndReport:
 
     def test_csv_rows_shape(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        rows = centrality_report(g).csv_rows(g)
+        rows = centrality_report(g).csv_rows()
         assert rows[0][:2] == ["node", "label"]
         assert len(rows) == 4
         assert [r[1] for r in rows[1:]] == [r[0] for r in rows[1:]] == ["0", "1", "2"]
