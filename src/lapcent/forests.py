@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, GraphError, is_connected, shortest_path_distances
+from .graph import Graph, GraphError, is_connected
 
 MAX_ENUM_NODES = 14  # bi-partition enumeration is exponential in n
 CENTER_RTOL = 1e-9  # geodesic totals this close to the minimum tie for tree_center
@@ -251,16 +251,9 @@ def _require_tree(g: Graph, what: str):
         raise NotATreeError(f"{what} needs a tree (connected, n-1 edges)")
 
 
-def tree_centrality(t: Graph) -> np.ndarray:
-    """diag(L+) of an unweighted tree from edge-deletion component sizes.
-
-    Deleting an edge splits the tree in two; node i collects the squared
-    size of the component it is NOT in, summed over all n-1 edges, divided
-    by n^2. Node i lies in the subtree under v exactly when v is on the
-    root-to-i path, so one prefix pass over the BFS order covers all edges.
-    """
-    _require_tree(t, "tree_centrality")
-    _check_unweighted(t, "tree_centrality")
+def _rooted_at_zero(t: Graph):
+    """(order, parent, size) of the tree hung from node 0: the BFS order,
+    each node's parent (-1 at the root) and the node count of its subtree."""
     n = t.n
     indptr, nbrs, _ = t.csr()
     order = np.empty(n, np.int64)
@@ -281,6 +274,21 @@ def tree_centrality(t: Graph) -> np.ndarray:
     for idx in range(n - 1, 0, -1):
         v = order[idx]
         size[parent[v]] += size[v]
+    return order, parent, size
+
+
+def tree_centrality(t: Graph) -> np.ndarray:
+    """diag(L+) of an unweighted tree from edge-deletion component sizes.
+
+    Deleting an edge splits the tree in two; node i collects the squared
+    size of the component it is NOT in, summed over all n-1 edges, divided
+    by n^2. Node i lies in the subtree under v exactly when v is on the
+    root-to-i path, so one prefix pass over the BFS order covers all edges.
+    """
+    _require_tree(t, "tree_centrality")
+    _check_unweighted(t, "tree_centrality")
+    n = t.n
+    order, parent, size = _rooted_at_zero(t)
     # edge owned by non-root v: inside nodes score (n-s)^2, outside s^2
     total_sq = sum(int(size[v]) ** 2 for v in range(1, n))
     acc = np.zeros(n, np.int64)
@@ -295,10 +303,24 @@ def tree_center(t: Graph):
     """Nodes minimizing total geodesic distance, as a sorted tuple; totals
     within a relative CENTER_RTOL of the minimum tie.
 
-    On a tree l+_ii = (sum_j SPD(i,j) - Tr(L+)) / n, so this set is also
-    the argmax of C* (verify's tree-partition checks that).
+    The total S(i) = sum_j SPD(i,j) follows in O(n) from subtree sizes: an
+    edge of length 1/w above subtree v is crossed by size(v) paths from the
+    root, and moving from parent(v) to v brings size(v) nodes 1/w closer
+    and the other n - size(v) nodes 1/w farther, so
+    S(v) = S(parent(v)) + (n - 2 size(v)) / w.
+
+    On a tree l+_ii = (S(i) - Tr(L+)) / n, so this set is also the argmax
+    of C* (verify's tree-partition checks that).
     """
     _require_tree(t, "tree_center")
-    totals = shortest_path_distances(t).sum(axis=1)
+    n = t.n
+    order, parent, size = _rooted_at_zero(t)
+    u, v, w = t.edge_arrays
+    length = np.zeros(n)
+    length[np.where(parent[v] == u, v, u)] = 1.0 / w  # indexed by the edge's child end
+    totals = np.empty(n)
+    totals[0] = float(size @ length)
+    for x in order[1:].tolist():
+        totals[x] = totals[parent[x]] + (n - 2 * int(size[x])) * length[x]
     centers = np.flatnonzero(totals <= totals.min() * (1.0 + CENTER_RTOL))
     return tuple(int(x) for x in centers)

@@ -111,12 +111,7 @@ class Graph:
     def laplacian(self):
         """Combinatorial Laplacian L = D - A, built from the edge arrays and
         the degrees without forming the adjacency (the same bits)."""
-        u, v, w = self.edge_arrays
-        lap = np.zeros((self.n, self.n))
-        lap[u, v] = -w
-        lap[v, u] = -w
-        np.fill_diagonal(lap, self.degrees)
-        return _frozen(lap)
+        return _frozen(_shifted_laplacian(self, 1.0, 0.0))
 
     @property
     def volume(self):
@@ -172,6 +167,20 @@ class Graph:
     def __repr__(self):
         kind = "unweighted" if self.unweighted else "weighted"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
+
+
+def _shifted_laplacian(g: Graph, scale, shift):
+    """L / scale + shift as one new n x n array, filled entrywise from the
+    edge arrays and the degrees. Each entry takes the same float operations,
+    in the same order, as `g.laplacian / scale + shift`, so the bits match
+    without L or a temporary ever existing."""
+    u, v, w = g.edge_arrays
+    out = np.full((g.n, g.n), shift)
+    off = (-w) / scale + shift
+    out[u, v] = off
+    out[v, u] = off
+    np.fill_diagonal(out, g.degrees / scale + shift)
+    return out
 
 
 # -- construction ------------------------------------------------------

@@ -10,7 +10,10 @@ with M = C C^T and F = C^-T
 
 The scale s is the power of two nearest the mean degree Vol/n: it keeps the
 rank-one shift on the scale of L whatever the weight units, and dividing by
-a power of two is exact. C is inverted by block recursion (LAPACK inverses
+a power of two is exact. M is filled entrywise from the edge arrays (the
+bits of `g.laplacian / s + 1/n`, without forming L), so the factorization
+holds three n x n arrays at its peak: M, LAPACK's working copy and the
+returned factor. C is inverted by block recursion (LAPACK inverses
 of diagonal blocks of at most `LEAF` rows, matrix products for the rest).
 The diagonal of L+, which is all C* and K need, comes from the row norms of
 F; the n x n L+ is formed only when a caller reads `SpectralBundle.lplus`.
@@ -37,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graph import Graph, GraphError, _frozen, require_connected
+from .graph import Graph, GraphError, _frozen, _shifted_laplacian, require_connected
 
 KIRCHHOFF_CONVENTION = "trace"  # K = Tr(L+), no factor n
 LEAF = 128  # largest diagonal block inverted by LAPACK
@@ -138,7 +141,7 @@ def build_spectral(g: Graph) -> SpectralBundle:
     s = _shift_scale(g.volume / n)
     with np.errstate(all="ignore"):
         try:
-            c = np.linalg.cholesky(g.laplacian / s + 1.0 / n)
+            c = np.linalg.cholesky(_shifted_laplacian(g, s, 1.0 / n))
         except np.linalg.LinAlgError:
             raise _unresolved(g, "rho = nan, the Cholesky factorization failed") from None
         _invert_lower(c)

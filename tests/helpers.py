@@ -5,6 +5,7 @@ deliberately independent of the package's own computation routes."""
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lapcent import Graph
 from lapcent.verify import (complete_graph, path_graph, random_connected,
@@ -39,6 +40,18 @@ def ring_chords(rng, n, weights):
         pairs.add((u, v))
     pairs = sorted(pairs)
     return Graph(n, [(u, v, w) for (u, v), w in zip(pairs, weights(rng, len(pairs)))])
+
+
+@st.composite
+def wide_weight_graphs(draw):
+    """Edge-list text of connected graphs (a random tree plus extra edges)
+    with weights 10^U(-20, 3)."""
+    n = draw(st.integers(2, 9))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] < p[1]), max_size=n)))
+    exps = draw(st.lists(st.floats(-20.0, 3.0), min_size=len(pairs), max_size=len(pairs)))
+    return "".join(f"{u} {v} {10.0 ** e!r}\n" for (u, v), e in zip(sorted(pairs), exps))
 
 
 def rel_gap(got, want):

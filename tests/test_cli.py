@@ -10,12 +10,11 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lapcent import Graph, SpectralBundle, abilene_topology, format_edge_list, zoo
 from lapcent.cli import main
 
-from helpers import ring_chords
+from helpers import ring_chords, wide_weight_graphs
 
 P3 = "0 1\n1 2\n"
 
@@ -118,17 +117,6 @@ class TestAnalyze:
         for fmt in ((), ("--json",), ("--csv",)):
             code, out, _ = run(capsys, "analyze", p3_file, *fmt)
             assert code == 0 and out
-
-
-@st.composite
-def wide_weight_graphs(draw):
-    """Connected graphs (a random tree plus extra edges) with weights 10^U(-20, 3)."""
-    n = draw(st.integers(2, 9))
-    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                               .filter(lambda p: p[0] < p[1]), max_size=n)))
-    exps = draw(st.lists(st.floats(-20.0, 3.0), min_size=len(pairs), max_size=len(pairs)))
-    return "".join(f"{u} {v} {10.0 ** e!r}\n" for (u, v), e in zip(sorted(pairs), exps))
 
 
 def run_on_graph(text, *argv):
@@ -491,6 +479,7 @@ PRESET_PINS = {
     ("compare",): "3d86e1b0f615160e97896190061b9b670c130bf4077e194d3b4a2d48c91800d1",
     ("analyze", "--csv"): "d7cfb6f51074d621b571420df9b45d4f1386071dde8c3fc14cf72d0513098e04",
     ("analyze",): "520c067058ec0be08ab0a4c0d87b84d4a0fbf28de74dabcfcf510e049f3fbd3d",
+    ("analyze", "--json"): "60b20b42560001db7271a12a5db11f05614c339dd617125b2c1e7dcfe28bf222",
     ("export-dot",): "7ee1b09f23feb503ac78aaeade2062daaef15619b18562a53cf694f52adc058f",
 }
 
@@ -516,6 +505,14 @@ EXPORT_DOT_PINS = {
     ("ring300", "gb"): "8e00c0e6ea50b6498b79b63475ec4a3a168ad4a4b32e78edf972959a621c8cf6",
     ("ring300", "rb"): "0e30da1cb4c58204ac56b6fc636f879df0a1ba5f9fd455dba27445d1670f8ee1",
     ("ring300", "cstar"): "77539e6d7c30e7a699b12b179b436d35a225cae0501e617789ec726f2097aba1",
+}
+
+# SHA-256 of `analyze` stdout on weighted ring-chords at n = 300, above LEAF,
+# where the factor's inverse recurses (see test_analyze_output_bytes).
+ANALYZE_RING300_PINS = {
+    (): "cba9039a4c530785afcec4882b74dc7ad778cedc6f58e614a3c12982d025c481",
+    ("--csv",): "c87af29180f490ca975cd251399ba62183503e1422443c2e82a6ff0b85b7e9a4",
+    ("--json",): "2e28cc7bde83f1689657d2ea35c665d82a0e6df1e588b39389cde29e77f9bebb",
 }
 
 # SHA-256 of `verify --seed 42` stdout.
@@ -553,18 +550,46 @@ def test_sensitivity_output_bytes(capsys, preset_files, argv):
     assert sha256(out) == SENSITIVITY_PINS[argv]
 
 
-@pytest.mark.parametrize("key", list(EXPORT_DOT_PINS), ids=" ".join)
-def test_export_dot_output_bytes(capsys, tmp_path, key):
-    name, metric = key
+def write_pinned_graph(tmp_path, name):
+    """Path of the preset ("preset") or of weighted ring-chords at n = 300
+    ("ring300") written as an edge list."""
     if name == "preset":
         g = abilene_topology()
-    else:  # weighted ring-chords, n = 300
+    else:
         g = ring_chords(np.random.default_rng(300), 300, lambda rng, m: rng.uniform(0.5, 2.0, m))
     path = tmp_path / f"{name}.el"
     path.write_text(format_edge_list(g))
-    code, out, _ = run(capsys, "export-dot", str(path), "--metric", metric)
+    return str(path)
+
+
+@pytest.mark.parametrize("key", list(EXPORT_DOT_PINS), ids=" ".join)
+def test_export_dot_output_bytes(capsys, tmp_path, key):
+    name, metric = key
+    code, out, _ = run(capsys, "export-dot", write_pinned_graph(tmp_path, name), "--metric", metric)
     assert code == 0
     assert sha256(out) == EXPORT_DOT_PINS[key]
+
+
+@pytest.mark.parametrize("flags", list(ANALYZE_RING300_PINS), ids=lambda f: " ".join(f) or "text")
+def test_analyze_output_bytes(capsys, tmp_path, flags):
+    code, out, _ = run(capsys, "analyze", write_pinned_graph(tmp_path, "ring300"), *flags)
+    assert code == 0
+    assert sha256(out) == ANALYZE_RING300_PINS[flags]
+
+
+def test_analyze_text_and_csv_never_form_the_laplacian(capsys, preset_files, monkeypatch):
+    # build_spectral factors L/s + J/n assembled from the edge arrays; only
+    # the spectrum of --json needs L itself
+    def refuse(self):
+        raise AssertionError("Graph.laplacian formed")
+
+    monkeypatch.setattr(Graph, "laplacian", property(refuse))
+    for argv in (("analyze",), ("analyze", "--csv")):
+        code, out, _ = run(capsys, argv[0], preset_files["preset"], *argv[1:])
+        assert code == 0
+        assert sha256(out) == PRESET_PINS[argv]
+    with pytest.raises(AssertionError, match="Graph.laplacian formed"):
+        run(capsys, "analyze", preset_files["preset"], "--json")
 
 
 def test_analyze_text_and_csv_skip_the_spectrum(capsys, preset_files, monkeypatch):

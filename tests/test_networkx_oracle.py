@@ -11,9 +11,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from lapcent import abilene_topology, centrality_report, hitting_times_exact
+from lapcent import Graph, abilene_topology, centrality_report, hitting_times_exact, tree_center
+from lapcent.forests import CENTER_RTOL
 
-from helpers import random_connected, rel_gap, ring_chords
+from helpers import random_connected, random_tree, rel_gap, ring_chords
 
 
 def _cases():
@@ -82,3 +83,19 @@ def test_realistic_sizes_match_networkx(name, n, weights, weighted):
     omega = nx.resistance_distance(G, weight="weight", invert_weight=False)
     omega = np.array([[omega[i][j] for j in range(n)] for i in range(n)])
     assert rel_gap(hitting_times_exact(g).C, g.volume * omega) <= 1e-10
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_tree_center_matches_networkx(weighted):
+    # networkx's barycenter ties only exact totals, so the oracle applies
+    # CENTER_RTOL to networkx's own distance totals
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        t = random_tree(rng, int(rng.integers(2, 80)))
+        if weighted:
+            w = 10.0 ** rng.uniform(-4.0, 3.0, t.m)
+            t = Graph(t.n, [(u, v, float(x)) for (u, v, _), x in zip(t.edges, w)])
+        dist = dict(nx.all_pairs_dijkstra_path_length(_to_nx(t), weight="length"))
+        totals = np.array([sum(dist[i].values()) for i in range(t.n)])
+        want = np.flatnonzero(totals <= totals.min() * (1.0 + CENTER_RTOL))
+        assert tree_center(t) == tuple(want.tolist())

@@ -1,19 +1,22 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import networkx as nx
 
 from lapcent import (DisconnectedError, Graph, GraphError, abilene_topology,
                      build_spectral, effective_resistance, kirchhoff_index,
                      resistance_matrix, spectral_report, topological_centrality)
-from lapcent import spectral
+from lapcent import parse_edge_list, spectral
+from lapcent.graph import _shifted_laplacian
 from lapcent.spectral import LEAF, RHO_MAX, certificate
 from lapcent.verify import ALL_CHECKS, VerifyConfig, eigen_route
 
 from helpers import (complete_graph, path_graph, random_connected, ring_chords,
-                     star_graph, wide_weight_cycle)
+                     star_graph, wide_weight_cycle, wide_weight_graphs)
 
 
 class TestPseudoInverse:
@@ -213,6 +216,31 @@ class TestCholeskyRoute:
         g = ring_chords(np.random.default_rng(2), 200, lambda rng, m: rng.uniform(0.2, 3.0, m))
         f = build_spectral(g).factor
         assert np.all(np.tril(f, -1) == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_weight_graphs())
+    @example("0 1 1e308\n")  # Vol overflows, so the scale falls back to s = 1
+    @example("0 1 5e-324\n")  # s = 2^-1074, the least scale there is
+    def test_factored_matrix_is_the_shifted_laplacian_bit_for_bit(self, text):
+        g = parse_edge_list(text)
+        with np.errstate(all="ignore"):
+            s = spectral._shift_scale(g.volume / g.n)
+            want = g.laplacian / s + 1.0 / g.n
+        assert np.array_equal(_shifted_laplacian(g, s, 1.0 / g.n), want)
+
+    def test_build_spectral_allocates_two_n_by_n_arrays(self):
+        # numpy allocates L/s + J/n and the factor (LAPACK's working copy is
+        # not a numpy allocation, so tracemalloc does not see it); forming
+        # g.laplacian / s + 1/n would add L and the L/s temporary (3.0 x 8n^2)
+        n = 400
+        g = ring_chords(np.random.default_rng(4), n, lambda rng, m: rng.uniform(0.5, 2.0, m))
+        tracemalloc.start()
+        try:
+            build_spectral(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n * n
 
     @pytest.mark.parametrize("w", [1e6, 1e9, 1e15])
     def test_weight_scale_does_not_cost_accuracy(self, w):
