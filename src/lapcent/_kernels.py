@@ -156,8 +156,9 @@ def walk_steps(indptr, nbrs, cumw, src, dst, runs, seed, run_start=0):
     return out
 
 
-def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0):
-    """Per-node visit counts of walks src -> dst, aggregated over runs.
+def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed):
+    """Per-node visit counts of walks src -> dst, aggregated over runs
+    0, 1, ..., runs - 1.
 
     A visit is counted at every position the walk occupies before absorption,
     so the start counts and the final arrival at dst does not. Returns
@@ -173,8 +174,7 @@ def walk_visits(indptr, nbrs, cumw, n, src, dst, runs, seed, run_start=0):
     for start in range(0, runs, block):
         count = min(block, runs - start)
         visits = np.zeros((count, n), np.int64)
-        steps = _walk_block(indptr, nbrs, cumw, src, dst, run_start + start,
-                            count, seed, visits)
+        steps = _walk_block(indptr, nbrs, cumw, src, dst, start, count, seed, visits)
         over = steps < 0
         capped += int(np.count_nonzero(over))
         visits[over] = 0

@@ -122,6 +122,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    custom = [opt for opt in ("core", "gateways", "subnets") if getattr(args, opt) is not None]
+    if args.preset and custom:
+        raise ValueError(f"--{custom[0]} conflicts with --preset {args.preset}")
     from .graph import format_edge_list
     from .topology import ABILENE_PRESET, TopologySpec, abilene_topology, gen_core_gateway
 

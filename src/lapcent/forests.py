@@ -12,6 +12,9 @@ with rooted_i the number of two-tree spanning forests rooted at i. That makes
 this module the brute-force oracle for the spectral module on small
 unweighted graphs. Counts use exact big-integer arithmetic (fraction-free
 Bareiss elimination for the determinants).
+
+The tree routines root a tree at node 0 with the graph's cached
+breadth-first search, the one that also found it connected.
 """
 
 from __future__ import annotations
@@ -252,27 +255,12 @@ def _require_tree(g: Graph, what: str):
 
 
 def _rooted_at_zero(t: Graph):
-    """(order, parent, size) of the tree hung from node 0: the BFS order,
-    each node's parent (-1 at the root) and the node count of its subtree."""
-    n = t.n
-    indptr, nbrs, _ = t.csr()
-    order = np.empty(n, np.int64)
-    parent = np.full(n, -2, np.int64)
-    order[0] = 0
-    parent[0] = -1
-    head, tail = 0, 1
-    while head < tail:
-        u = order[head]
-        head += 1
-        for e in range(indptr[u], indptr[u + 1]):
-            v = int(nbrs[e])
-            if parent[v] == -2:
-                parent[v] = u
-                order[tail] = v
-                tail += 1
-    size = np.ones(n, np.int64)
-    for idx in range(n - 1, 0, -1):
-        v = order[idx]
+    """(order, parent, size) of the tree hung from node 0: the graph's cached
+    breadth-first order, each node's parent (-1 at the root) and the node
+    count of its subtree."""
+    order, parent, _ = t._search
+    size = np.ones(t.n, np.int64)
+    for v in order[:0:-1].tolist():
         size[parent[v]] += size[v]
     return order, parent, size
 

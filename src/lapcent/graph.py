@@ -6,15 +6,15 @@ graphs (all weights 1.0) fall back to plain hop counts.
 
 `Graph` is the one place that applies the edge rules and the one owner of
 the views derived from its edges (edge arrays, adjacency, degrees,
-Laplacian, CSR, components, geodesic distances): each is computed on first
-use, cached and returned read-only.
+Laplacian, CSR, breadth-first search, geodesic distances): each is computed
+on first use, cached and returned read-only. The one search serves the
+components and the rooting of a tree (`lapcent.forests`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property
 
 import numpy as np
@@ -115,8 +115,9 @@ class Graph:
 
     @property
     def volume(self):
-        """Vol(G) = sum of degrees = twice the total edge weight."""
-        return float(self.degrees.sum())
+        """Vol(G) = sum of degrees = twice the total edge weight (inf past float64)."""
+        with np.errstate(over="ignore"):
+            return float(self.degrees.sum())
 
     @cached_property
     def unweighted(self):
@@ -152,8 +153,8 @@ class Graph:
         return _frozen(indptr), _frozen(nbrs), _frozen(cumw)
 
     @cached_property
-    def _components(self):
-        return _search_components(self)
+    def _search(self):
+        return _breadth_first(self)
 
     @cached_property
     def _spd(self):
@@ -252,46 +253,45 @@ def load_edge_list(path) -> Graph:
 # -- connectivity and geodesics ---------------------------------------
 
 
-def components(g: Graph):
-    """Connected components as sorted node lists, ordered by smallest member.
-
-    The search runs once per graph; every call returns fresh lists.
-    """
-    return [list(c) for c in g._components]
-
-
-def _search_components(g: Graph):
-    """Breadth-first search over the CSR; components as sorted tuples."""
-    indptr, nbrs, _ = g.csr()
-    seen = np.zeros(g.n, bool)
-    out = []
+def _breadth_first(g: Graph):
+    """Breadth-first search over the CSR from each node not yet reached, in
+    id order: (order, parent, bounds). order lists the nodes as visited,
+    parent[v] is the node v was reached from (-1 at a search root), and the
+    k-th component is order[bounds[k]:bounds[k + 1]]."""
+    indptr, nbrs = (a.tolist() for a in g.csr()[:2])
+    order, parent, bounds, head = [], [-2] * g.n, [], 0
     for s in range(g.n):
-        if seen[s]:
+        if parent[s] != -2:
             continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in range(indptr[u], indptr[u + 1]):
-                v = int(nbrs[e])
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
+        bounds.append(head)
+        parent[s] = -1
+        order.append(s)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in nbrs[indptr[u]:indptr[u + 1]]:
+                if parent[v] == -2:
+                    parent[v] = u
+                    order.append(v)
+    bounds.append(g.n)
+    return _frozen(np.array(order, np.int64)), _frozen(np.array(parent, np.int64)), tuple(bounds)
+
+
+def components(g: Graph):
+    """Connected components as sorted node lists, ordered by smallest member:
+    fresh lists cut from the graph's one cached search."""
+    order, _, bounds = g._search
+    return [sorted(order[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(g._components) == 1
+    return len(g._search[2]) == 2
 
 
 def require_connected(g: Graph, what="operation"):
-    comps = g._components
-    if len(comps) > 1:
+    if not is_connected(g):
         raise DisconnectedError(
-            f"{what} requires a connected graph; second component: {list(comps[1])}"
+            f"{what} requires a connected graph; second component: {components(g)[1]}"
         )
 
 

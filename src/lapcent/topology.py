@@ -144,7 +144,9 @@ PRESET_MOVES = {
 
 def pert_preset(g: Graph, which: str) -> Graph:
     """Apply the degree-preserving rewiring named "pert1" or "pert2" (the
-    keys of PRESET_MOVES); each move names the paper's v_k, node id k - 1."""
+    keys of PRESET_MOVES); each move names the paper's v_k, node id k - 1.
+    The added edges weigh 1, so a weighted graph whose moved edges weigh
+    otherwise changes its degrees and is refused."""
     if which not in PRESET_MOVES:
         raise GraphError(f"unknown perturbation preset {which!r}")
     removes, adds = PRESET_MOVES[which]
@@ -162,19 +164,13 @@ def pert_preset(g: Graph, which: str) -> Graph:
 # -- sensitivity --------------------------------------------------------
 
 def graph_descriptors(g: Graph) -> dict:
-    """Graph-level descriptors: K*, Randic index, and index averages."""
+    """K*, Randic index, the means of gc, sc, gb, rb and C* (computed in that
+    order before any mean or K*, so a refusal names the first to fail), K."""
     rep = centrality_report(g)
-    avg = rep.averages()
-    return {
-        "kstar": rep.kstar,
-        "randic": rep.randic,
-        "gc_mean": avg["gc"],
-        "sc_mean": avg["sc"],
-        "gb_mean": avg["gb"],
-        "rb_mean": avg["rb"],
-        "cstar_mean": avg["cstar"],
-        "kirchhoff": rep.kirchhoff,
-    }
+    per_node = {name: getattr(rep, name) for name in ("gc", "sc", "gb", "rb", "cstar")}
+    return {"kstar": rep.kstar, "randic": rep.randic,
+            **{f"{name}_mean": float(x.mean()) for name, x in per_node.items()},
+            "kirchhoff": rep.kirchhoff}
 
 
 @dataclass(frozen=True)

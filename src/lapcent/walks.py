@@ -26,6 +26,14 @@ class HittingTable:
     vol: float
 
 
+def _volume(g: Graph) -> float:
+    """Vol(G); a graph whose degrees sum past the float64 range is refused."""
+    vol = g.volume
+    if vol == np.inf:
+        raise GraphError(f"Vol(G) overflows float64 (largest degree {g.degrees.max():.3g})")
+    return vol
+
+
 def hitting_times_exact(g: Graph) -> HittingTable:
     """Every hitting time from the fundamental matrix of the walk.
 
@@ -35,14 +43,15 @@ def hitting_times_exact(g: Graph) -> HittingTable:
     """
     require_connected(g, "hitting_times_exact")
     n = g.n
+    vol = _volume(g)
     if n == 1:  # Vol(G) = 0 leaves pi undefined, and there is nothing to hit
-        return HittingTable(H=np.zeros((1, 1)), C=np.zeros((1, 1)), vol=g.volume)
+        return HittingTable(H=np.zeros((1, 1)), C=np.zeros((1, 1)), vol=vol)
     d = g.degrees
-    pi = d / g.volume
+    pi = d / vol
     Z = np.linalg.inv(np.eye(n) - g.adjacency / d[:, None] + pi)
     H = (np.diag(Z) - Z) / pi
     np.fill_diagonal(H, 0.0)
-    return HittingTable(H=H, C=H + H.T, vol=g.volume)
+    return HittingTable(H=H, C=H + H.T, vol=vol)
 
 
 def detour_overhead(ht: HittingTable, i: int, k: int, j: int) -> float:
@@ -184,7 +193,7 @@ def approx_hitting_dense(g: Graph, i: int, j: int, convention: str = "source-deg
         return 0.0
     d = g.degrees
     denom = d[i] if convention == "source-degree" else d[j]
-    return float(g.volume / denom)
+    return float(_volume(g) / denom)
 
 
 def approx_commute_dense(g: Graph, i: int, j: int) -> float:
@@ -194,4 +203,4 @@ def approx_commute_dense(g: Graph, i: int, j: int) -> float:
     if i == j:
         return 0.0
     d = g.degrees
-    return float(g.volume * (1.0 / d[i] + 1.0 / d[j]))
+    return float(_volume(g) * (1.0 / d[i] + 1.0 / d[j]))

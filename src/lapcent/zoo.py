@@ -169,9 +169,6 @@ class CentralityReport:
     kstar = property(lambda self: self._kirchhoff[1])
     randic = cached_property(lambda self: randic_index(self.graph))
 
-    def averages(self):
-        return {name: float(getattr(self, name).mean()) for name in self.PER_NODE}
-
     def normalized(self):
         return {name: max_normalized(getattr(self, name)) for name in self.PER_NODE}
 

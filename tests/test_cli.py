@@ -181,6 +181,32 @@ def test_compare_sensitivity_hitting_exit_0_with_finite_numbers_or_2_with_a_mess
         assert math.isfinite(rep["hitting"]) and math.isfinite(rep["commute"])
 
 
+OVERFLOWING_VOLUME = "0 1 1e308\n"  # Vol(G) = 2e308 passes the float64 range
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "{}"], "L+ is beyond float64 resolution: "),
+    (["hitting", "{}", "-i", "0", "-j", "1"], "Vol(G) overflows float64 ("),
+    (["hitting", "{}", "-i", "0", "-j", "1", "--method", "approx"], "Vol(G) overflows float64 ("),
+    (["sensitivity", "{}", "{}"], "subgraph centrality overflows float64: "),
+], ids=["analyze", "hitting-exact", "hitting-approx", "sensitivity"])
+def test_overflowing_volume_refused_with_one_line(argv, message):
+    # used to print numpy RuntimeWarnings first, and then "Singular matrix"
+    # (exact) or a JSON error (approx) for hitting
+    code, out, err = run_on_graph(OVERFLOWING_VOLUME, *argv)
+    assert refused_with_a_message(code, out, err)
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hitting", "{}", "-i", "0", "-j", "1", "--method", "mc", "--runs", "100"],
+    ["export-dot", "{}", "--metric", "degree"],
+], ids=["hitting-mc", "export-dot-degree"])
+def test_overflowing_volume_leaves_commands_that_never_sum_it(argv):
+    code, out, err = run_on_graph(OVERFLOWING_VOLUME, *argv)
+    assert not refused_with_a_message(code, out, err)
+
+
 class TestCompare:
     def test_csv_shape(self, capsys, p3_file):
         code, out, _ = run(capsys, "compare", p3_file)
@@ -372,6 +398,12 @@ class TestVerify:
         assert err == f"error: --seed must be in [0, 2**64), got {seed}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", ["20", "30"])
+    def test_sc_series_oracle_holds_on_larger_graphs(self, capsys, n):
+        # a fixed 30 terms leave a tail above the bound here (6.3e-07 at --n 20)
+        code, out, _ = run(capsys, "verify", "--n", n, "--only", "sc-series")
+        assert code == 0 and out.startswith("PASS sc-series: ")
+
     def test_unknown_filter(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "zzz-no-such")
         assert code == 2 and "no check matches" in err
@@ -398,6 +430,13 @@ class TestTopologyCommands:
         run(capsys, "gen", "--preset", "abilene", "-o", str(a))
         run(capsys, "gen", "--preset", "abilene", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("opt, value", [("--core", "7"), ("--gateways", "3"),
+                                            ("--subnets", "2,2")])
+    def test_gen_preset_conflicts_with_a_custom_option(self, capsys, opt, value):
+        code, out, err = run(capsys, "gen", "--preset", "abilene", opt, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {opt} conflicts with --preset abilene\n"
 
     def test_gen_custom_requires_subnets(self, capsys):
         code, _, err = run(capsys, "gen")
@@ -516,7 +555,7 @@ ANALYZE_RING300_PINS = {
 }
 
 # SHA-256 of `verify --seed 42` stdout.
-VERIFY_SEED_42_PIN = "3d55457ca993c4c10af97d8385bb29997bf7bf77e7c521e2b2a6ab4dab46a8e6"
+VERIFY_SEED_42_PIN = "e1085566bac5596d8b7c0f76d34999426f4a03c3c85eb93bc18cb3e756b47358"
 
 
 def sha256(text):

@@ -8,8 +8,9 @@ from lapcent import (Graph, NotATreeError, SizeLimitError, build_spectral,
                      forest_census, lplus_diag_fractions,
                      shortest_path_distances, topological_centrality,
                      tree_center, tree_centrality)
+from lapcent import graph
 from lapcent.forests import det_int
-from lapcent.graph import GraphError
+from lapcent.graph import GraphError, is_connected
 from lapcent.spectral import resistance_matrix
 from lapcent.verify import check_forest_diagonal
 
@@ -232,3 +233,14 @@ class TestTreeMetric:
             t = random_tree(rng, int(rng.integers(2, 12)))
             omega = resistance_matrix(build_spectral(t))
             assert np.max(np.abs(shortest_path_distances(t) - omega)) <= 1e-9
+
+
+def test_connectivity_and_both_tree_routines_search_once(monkeypatch):
+    runs = []
+    breadth_first = graph._breadth_first
+    monkeypatch.setattr(graph, "_breadth_first", lambda g: runs.append(g) or breadth_first(g))
+    t = random_tree(np.random.default_rng(8), 30)
+    assert is_connected(t)
+    assert np.allclose(tree_centrality(t), build_spectral(t).diag)
+    assert len(tree_center(t)) in (1, 2)
+    assert runs == [t]

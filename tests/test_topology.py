@@ -118,6 +118,19 @@ class TestPerturbations:
         assert degree_sequence(g1) == degree_sequence(preset)
         assert degree_sequence(g2) == degree_sequence(preset)
 
+    @pytest.mark.parametrize("which", sorted(topology.PRESET_MOVES))
+    def test_moves_remove_and_add_at_the_same_endpoints(self, which):
+        # so an unweighted graph keeps every degree
+        removes, adds = topology.PRESET_MOVES[which]
+        assert sorted(x for e in removes for x in e) == sorted(x for e in adds for x in e)
+
+    def test_weighted_moves_that_change_degrees_refused(self, preset):
+        # the added edges weigh 1, the removed ones 2
+        heavy = Graph(preset.n, [(a, b, 2.0) for a, b, _ in preset.edges])
+        with pytest.raises(GraphError,
+                           match="^pert1 preset failed to preserve the degree sequence$"):
+            pert_preset(heavy, "pert1")
+
     def test_missing_edge_rejected(self, preset):
         g1 = pert_preset(preset, "pert1")
         with pytest.raises(GraphError):

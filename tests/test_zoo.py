@@ -213,13 +213,6 @@ class TestNormalizationAndReport:
         assert np.argmax(out) == np.argmax(v)
         assert not max_normalized(np.zeros(3)).any()
 
-    def test_report_averages_are_means(self):
-        g = random_connected(np.random.default_rng(2), 8)
-        rep = centrality_report(g)
-        avg = rep.averages()
-        for name in rep.PER_NODE:
-            assert avg[name] == pytest.approx(float(getattr(rep, name).mean()))
-
     def test_report_constant_on_vertex_transitive(self):
         rep = centrality_report(cycle_graph(6))
         for name in rep.PER_NODE:
