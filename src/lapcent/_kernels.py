@@ -15,8 +15,9 @@ each node's slice, O(log d) numpy calls but less work per run, is cheaper.
 Each run's draws for the next several steps are generated in one pass, in
 a block of at most DRAW_CELLS uniforms (runs x steps), or one step's when
 more runs are walking. The tree scan decodes a block of Pruefer sequences
-at once, one row per sequence. Block sizes are fixed, so working memory
-does not grow with the run count or the number of trees.
+at once, stored node-major (one row per node, one column per sequence).
+Block sizes are fixed, so working memory does not grow with the run count
+or the number of trees.
 """
 
 from __future__ import annotations
@@ -192,11 +193,19 @@ def tree_scan(n):
     the minimum, how many trees attain it, and the same data for stars
     (max degree n-1). Returns (min_sum, min_count, star_sum, star_count).
 
-    Sequences are decoded TREE_BLOCK at a time, one row each: every round
-    removes each row's smallest leaf and joins it to the row's next sequence
-    entry. The sizes come out of the decode itself: sz[v] counts v and every
-    node already removed through it, so when a leaf is removed the edge it
-    leaves by splits the tree into sz[leaf] and n - sz[leaf] nodes.
+    Sequences are decoded TREE_BLOCK at a time, stored node-major: row v of
+    deg and sz holds node v's cell of every sequence in the block, and the
+    updates address cells by flat index (row * block + column). Every round
+    removes each sequence's smallest leaf and joins it to the sequence's
+    next entry; a descending pass over the node rows finds that leaf, each
+    row overwriting the leaf of the sequences where it has degree one. Node
+    n-1 is never the smallest leaf, as a tree has at least two leaves, so it
+    is left for the last edge. The sizes come out of the decode itself:
+    sz[v] counts v and every node already removed through it, so when a leaf
+    is removed the edge it leaves by splits the tree into sz[leaf] and
+    n - sz[leaf] nodes. Cells are int16: a sum is at most (n-1) * n**2 / 4,
+    below 2**15 for n <= 51, far past any n whose n**(n-2) trees a scan can
+    finish.
     """
     slen = max(n - 2, 0)
     total = n ** slen
@@ -204,24 +213,27 @@ def tree_scan(n):
     min_sum, min_count, star_sum, star_count = 2**62, 0, -1, 0
     for start in range(0, total, TREE_BLOCK):
         code = np.arange(start, min(start + TREE_BLOCK, total))
-        seq = code[:, None] // place % n
-        rows = np.arange(len(code))
-        deg = np.ones((len(code), n), np.int64)
-        for x in seq.T:
-            deg[rows, x] += 1
-        star = deg.max(axis=1) == n - 1
+        b = len(code)
+        cols = np.arange(b)
+        cells = code // place[:, None] % n * b + cols  # one row per sequence position
+        deg = np.ones((n, b), np.int16)
         sz = np.ones_like(deg)
-        s = np.zeros(len(code), np.int64)
-        for x in seq.T:
-            leaf = np.argmax(deg == 1, axis=1)
-            part = sz[rows, leaf]
+        flat_deg, flat_sz = deg.reshape(-1), sz.reshape(-1)
+        for x in cells:
+            flat_deg[x] += 1
+        star = deg.max(axis=0) == n - 1
+        s = np.zeros(b, np.int16)
+        leaf = np.empty(b, np.intp)
+        for x in cells:
+            for v in range(n - 2, -1, -1):
+                np.copyto(leaf, v, where=deg[v] == 1)
+            cell = leaf * b + cols
+            part = flat_sz[cell]
             s += part * (n - part)
-            sz[rows, x] += part
-            deg[rows, x] -= 1
-            deg[rows, leaf] = 0
-        # the last edge joins the two nodes left
-        part = sz[rows, np.argmax(deg == 1, axis=1)]
-        s += part * (n - part)
+            flat_sz[x] += part
+            flat_deg[x] -= 1
+            flat_deg[cell] = 0
+        s += sz[n - 1] * (n - sz[n - 1])  # the last edge joins n-1 to the last leaf
         low = int(s.min())
         if low < min_sum:
             min_sum, min_count = low, 0

@@ -1,7 +1,9 @@
 """The graph as a resistor network: each edge carries resistance 1/w.
 
 Voltages for a unit current injected at i and extracted at j come from
-pseudo-inverse columns, gauged so the sink sits at zero volts. Under that
+pseudo-inverse columns, gauged so the sink sits at zero volts. The voltage
+and the recurrence overhead broadcast over index arrays, so a sweep over
+every pair or triple of a graph is one array expression. Under that
 gauge d(k) * v(k) is exactly the expected number of visits the absorbed walk
 i -> j makes to k, which ties the circuit picture to the detour overheads of
 the walks module.
@@ -27,29 +29,36 @@ class VoltageProfile:
     visits: np.ndarray
 
 
-def _gauged_voltage(b: SpectralBundle, i: int, j: int) -> np.ndarray:
-    v = b.lplus[:, i] - b.lplus[:, j]
-    return v - v[j]
+def _gauged_voltage(b: SpectralBundle, x, i, j):
+    """Sink-gauged voltage V^{ij}_x = (l+_xi - l+_xj) - (l+_ji - l+_jj) at x
+    for unit current in at i, out at j.
+
+    x, i and j are node ids or index arrays that broadcast together; x may
+    also be a slice, such as slice(None) for the whole profile.
+    """
+    lp = b.lplus
+    return (lp[x, i] - lp[x, j]) - (lp[j, i] - lp[j, j])
 
 
 def voltages(b: SpectralBundle, i: int, j: int) -> VoltageProfile:
     """Voltage profile for unit current in at i, out at j, with v(j) = 0."""
     if i == j:
         raise GraphError("source and sink must differ")
-    v = _gauged_voltage(b, i, j)
+    v = _gauged_voltage(b, slice(None), i, j)
     return VoltageProfile(source=i, sink=j, v=v, visits=b.graph.degrees * v)
 
 
-def recurrence_overhead(b: SpectralBundle, i: int, k: int, j: int) -> float:
+def recurrence_overhead(b: SpectralBundle, i, k, j):
     """Detour overhead computed electrically:
     Vol(G) * (V^{ik}_i + V^{kj}_i - V^{ij}_i) with sink-gauged voltages.
 
-    Equals the walks-module detour overhead H_ik + H_kj - H_ij.
+    Equals the walks-module detour overhead H_ik + H_kj - H_ij. Node ids
+    give an np.float64; index arrays broadcast to an array of overheads.
     """
-    vik = _gauged_voltage(b, i, k)[i]
-    vkj = _gauged_voltage(b, k, j)[i]
-    vij = _gauged_voltage(b, i, j)[i]
-    return float(b.graph.volume * (vik + vkj - vij))
+    vik = _gauged_voltage(b, i, i, k)
+    vkj = _gauged_voltage(b, i, k, j)
+    vij = _gauged_voltage(b, i, i, j)
+    return b.graph.volume * (vik + vkj - vij)
 
 
 def export_netlist(g: Graph) -> str:

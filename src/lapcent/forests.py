@@ -11,7 +11,10 @@ integer combinatorics:
 with rooted_i the number of two-tree spanning forests rooted at i. That makes
 this module the brute-force oracle for the spectral module on small
 unweighted graphs. Counts use exact big-integer arithmetic (fraction-free
-Bareiss elimination for the determinants).
+Bareiss elimination for the determinants). The bi-partition list and the
+census both come from one pass over the node masks that holds node 0,
+which builds each block's reduced Laplacian from neighbour bitmasks; the
+census keeps only the counts.
 
 The tree routines root a tree at node 0 with the graph's cached
 breadth-first search, the one that also found it connected.
@@ -78,26 +81,18 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _tree_count_subset(g: Graph, nodes) -> int:
-    """Spanning trees of the induced subgraph on `nodes` (unweighted, exact).
+def _mask_tree_count(nodes, mask: int, nbr: list) -> int:
+    """Spanning trees of the connected induced subgraph on `nodes` (the set
+    bits of `mask`; nbr holds each node's neighbours as a bitmask).
 
-    Matrix-Tree: determinant of the induced Laplacian with one node removed.
-    Disconnected induced subgraphs come out as 0.
+    Matrix-Tree: the determinant of the induced Laplacian with the first
+    node removed. One or two connected nodes have exactly one tree.
     """
-    k = len(nodes)
-    if k == 1:
+    if len(nodes) <= 2:
         return 1
-    pos = {v: idx for idx, v in enumerate(nodes)}
-    lap = [[0] * k for _ in range(k)]
-    for u, v, _ in g.edges:
-        if u in pos and v in pos:
-            a, b = pos[u], pos[v]
-            lap[a][a] += 1
-            lap[b][b] += 1
-            lap[a][b] -= 1
-            lap[b][a] -= 1
-    reduced = [row[1:] for row in lap[1:]]
-    return det_int(reduced)
+    rest = nodes[1:]
+    return det_int([[(nbr[a] & mask).bit_count() if a == b else -((nbr[a] >> b) & 1)
+                     for b in rest] for a in rest])
 
 
 def count_spanning_trees(g: Graph):
@@ -108,10 +103,8 @@ def count_spanning_trees(g: Graph):
     """
     if not is_connected(g):
         return 0
-    if g.n == 1:
-        return 1
     if g.unweighted:
-        return _tree_count_subset(g, list(range(g.n)))
+        return _mask_tree_count(list(range(g.n)), (1 << g.n) - 1, _neighbor_masks(g))
     return float(np.linalg.det(g.laplacian[1:, 1:]))
 
 
@@ -163,34 +156,39 @@ def _bits(mask: int):
     return out
 
 
+def _splits(g: Graph, what: str):
+    """Each connected bi-partition as (smask, s_nodes, c_nodes, trees_s,
+    trees_c): block S holds node 0, the masks and node lists are ascending,
+    and the tree counts are exact integers.
+
+    Requires a connected unweighted graph with n <= MAX_ENUM_NODES.
+    """
+    _check_enum_size(g, what)
+    if not is_connected(g):
+        raise GraphError("bi-partitions are defined for connected graphs")
+    _check_unweighted(g, what)
+    nbr = _neighbor_masks(g)
+    full = (1 << g.n) - 1
+    for smask in range(1, full, 2):  # odd masks: node 0 always in S
+        cmask = full ^ smask
+        if not _mask_connected(smask, nbr) or not _mask_connected(cmask, nbr):
+            continue
+        s_nodes, c_nodes = _bits(smask), _bits(cmask)
+        yield (smask, s_nodes, c_nodes, _mask_tree_count(s_nodes, smask, nbr),
+               _mask_tree_count(c_nodes, cmask, nbr))
+
+
 def enumerate_bipartitions(g: Graph):
     """All connected bi-partitions, canonically oriented (node 0 in S).
 
     Requires a connected graph and n <= MAX_ENUM_NODES.
     """
-    _check_enum_size(g, "enumerate_bipartitions")
-    if not is_connected(g):
-        raise GraphError("bi-partitions are defined for connected graphs")
-    _check_unweighted(g, "enumerate_bipartitions")
-    n = g.n
-    nbr = _neighbor_masks(g)
-    full = (1 << n) - 1
     out = []
-    for smask in range(1, full, 2):  # odd masks: node 0 always in S
-        cmask = full ^ smask
-        if not _mask_connected(smask, nbr) or not _mask_connected(cmask, nbr):
-            continue
-        s_nodes = _bits(smask)
-        c_nodes = _bits(cmask)
+    for smask, s_nodes, c_nodes, trees_s, trees_c in _splits(g, "enumerate_bipartitions"):
         cut = tuple((u, v) for u, v, _ in g.edges
                     if ((smask >> u) & 1) != ((smask >> v) & 1))
-        out.append(BiPartition(
-            s_nodes=tuple(s_nodes),
-            sprime_nodes=tuple(c_nodes),
-            cut=cut,
-            trees_s=_tree_count_subset(g, s_nodes),
-            trees_sprime=_tree_count_subset(g, c_nodes),
-        ))
+        out.append(BiPartition(s_nodes=tuple(s_nodes), sprime_nodes=tuple(c_nodes), cut=cut,
+                               trees_s=trees_s, trees_sprime=trees_c))
     return out
 
 
@@ -218,20 +216,16 @@ def forest_census(g: Graph) -> ForestCensus:
     Per partition P = (S, S') a two-tree forest is a spanning tree of each
     block; rooting at i in S leaves |S'| root choices on the other side.
     """
-    _check_enum_size(g, "forest_census")
-    _check_unweighted(g, "forest_census")
-    parts = enumerate_bipartitions(g)
     n = g.n
     eps_rooted = [0] * n
     eps_n2 = 0
-    for p in parts:
-        pair = p.trees_s * p.trees_sprime
-        size_s = len(p.s_nodes)
-        size_c = len(p.sprime_nodes)
+    for _, s_nodes, c_nodes, trees_s, trees_c in _splits(g, "forest_census"):
+        pair = trees_s * trees_c
+        size_s, size_c = len(s_nodes), len(c_nodes)
         eps_n2 += pair * size_s * size_c
-        for i in p.s_nodes:
+        for i in s_nodes:
             eps_rooted[i] += pair * size_c
-        for i in p.sprime_nodes:
+        for i in c_nodes:
             eps_rooted[i] += pair * size_s
     eps_n1 = n * count_spanning_trees(g)
     return ForestCensus(eps_n1=eps_n1, eps_n2=eps_n2, eps_rooted=tuple(eps_rooted))

@@ -5,7 +5,7 @@ Geodesic computations therefore use 1/w as the length of an edge; unweighted
 graphs (all weights 1.0) fall back to plain hop counts.
 
 `Graph` is the one place that applies the edge rules and the one owner of
-the views derived from its edges (edge arrays, adjacency, degrees,
+the views derived from its edges (edge arrays, adjacency, degrees, volume,
 Laplacian, CSR, breadth-first search, geodesic distances): each is computed
 on first use, cached and returned read-only. The one search serves the
 components and the rooting of a tree (`lapcent.forests`).
@@ -113,7 +113,7 @@ class Graph:
         the degrees without forming the adjacency (the same bits)."""
         return _frozen(_shifted_laplacian(self, 1.0, 0.0))
 
-    @property
+    @cached_property
     def volume(self):
         """Vol(G) = sum of degrees = twice the total edge weight (inf past float64)."""
         with np.errstate(over="ignore"):

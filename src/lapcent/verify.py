@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -249,29 +249,34 @@ def check_commute_resistance(g):
     return float(np.max(np.abs(ht.C - ht.vol * resistance_matrix(build_spectral(g)))))
 
 
+def _index_tuples(n, r, distinct=True):
+    """r index arrays over every ordered r-tuple of nodes 0..n-1, or over
+    those whose entries are pairwise distinct."""
+    idx = np.indices((n,) * r).reshape(r, -1)
+    if distinct:
+        idx = idx[:, np.all([a != b for a, b in combinations(idx, 2)], axis=0)]
+    return idx
+
+
 @Sweep("detour-equivalence", 20, 4, 8, "all triples on 20 graphs", tol=1e-9)
 def check_detour_equivalence(g):
     """Hitting and commute detour forms agree; overhead is i<->j symmetric."""
     ht = hitting_times_exact(g)
-    res = 0.0
-    for i, k, j in product(range(g.n), repeat=3):
-        hit = ht.H[i, k] + ht.H[k, j] - ht.H[i, j]
-        com = (ht.C[i, k] + ht.C[k, j] - ht.C[i, j]) / 2.0
-        rev = ht.H[j, k] + ht.H[k, i] - ht.H[j, i]
-        res = max(res, abs(hit - com), abs(hit - rev))
-    return res
+    i, k, j = _index_tuples(g.n, 3, distinct=False)
+    hit = detour_overhead(ht, i, k, j)
+    com = (ht.C[i, k] + ht.C[k, j] - ht.C[i, j]) / 2.0
+    rev = detour_overhead(ht, j, k, i)
+    return float(max(np.max(np.abs(hit - com)), np.max(np.abs(hit - rev))))
 
 
 @Sweep("electrical-detour", 20, 4, 10,
        "all ordered triples on 20 graphs (weighted included)", tol=1e-9, gen=_alternating)
 def check_electrical_detour(g):
     """Electrical recurrence overhead equals the walk detour overhead."""
-    b = build_spectral(g)
-    ht = hitting_times_exact(g)
-    res = 0.0
-    for i, k, j in permutations(range(g.n), 3):
-        res = max(res, abs(recurrence_overhead(b, i, k, j) - detour_overhead(ht, i, k, j)))
-    return res
+    i, k, j = _index_tuples(g.n, 3)
+    gap = recurrence_overhead(build_spectral(g), i, k, j) - detour_overhead(
+        hitting_times_exact(g), i, k, j)
+    return float(np.max(np.abs(gap)))
 
 
 @Sweep("circuit-identities", 20, 3, 10, "all triples on 20 graphs", tol=1e-9,
@@ -280,13 +285,11 @@ def check_circuit_identities(g):
     """Superposition V^{xz}_x = V^{xz}_y + V^{zx}_y and reciprocity
     V^{xy}_z = V^{zy}_x of sink-gauged voltages, for distinct x, y, z."""
     b = build_spectral(g)
-    res = 0.0
-    for x, y, z in permutations(range(g.n), 3):
-        vxz = _gauged_voltage(b, x, z)
-        sup = abs(vxz[x] - (vxz[y] + _gauged_voltage(b, z, x)[y]))
-        rec = abs(_gauged_voltage(b, x, y)[z] - _gauged_voltage(b, z, y)[x])
-        res = max(res, float(sup), float(rec))
-    return res
+    x, y, z = _index_tuples(g.n, 3)
+    sup = np.abs(_gauged_voltage(b, x, x, z)
+                 - (_gauged_voltage(b, y, x, z) + _gauged_voltage(b, y, z, x)))
+    rec = np.abs(_gauged_voltage(b, z, x, y) - _gauged_voltage(b, x, z, y))
+    return float(max(sup.max(), rec.max()))
 
 
 @Sweep("current-law", 20, 3, 10, "all source/sink pairs on 20 graphs", tol=1e-9,
@@ -295,24 +298,25 @@ def check_current_law(g):
     """Kirchhoff current law: the net branch current of each source/sink
     profile is zero at every node but the two terminals."""
     b = build_spectral(g)
-    res = 0.0
-    for i, j in permutations(range(g.n), 2):
-        v = _gauged_voltage(b, i, j)
-        net = np.zeros(g.n)
-        for u, w, wt in g.edges:
-            cur = wt * (v[u] - v[w])
-            net[u] -= cur
-            net[w] += cur
-        net[[i, j]] = 0.0
-        res = max(res, float(np.max(np.abs(net))))
-    return res
+    i, j = _index_tuples(g.n, 2)
+    v = _gauged_voltage(b, np.arange(g.n)[:, None], i, j)  # one column per pair
+    u, w, wt = g.edge_arrays
+    cur = wt[:, None] * (v[u] - v[w])
+    net = np.zeros_like(v)
+    # each node sums its branch currents in edge order, as a loop over edges would
+    ends = np.column_stack([u, w]).ravel()  # u0 w0 u1 w1 ...
+    np.add.at(net, ends, np.stack([-cur, cur], axis=1).reshape(-1, len(i)))
+    cols = np.arange(len(i))
+    net[i, cols] = net[j, cols] = 0.0
+    return float(np.max(np.abs(net)))
 
 
 @Sweep("recurrence-positive", 20, 3, 10, "min source visit count {:.6f} > 0", agg=min)
 def check_recurrence_positive(g):
     """U^{ij}_i > 0 on finite connected graphs."""
     b = build_spectral(g)
-    return min(float(voltages(b, i, j).visits[i]) for i, j in permutations(range(g.n), 2))
+    i, j = _index_tuples(g.n, 2)
+    return float(np.min(g.degrees[i] * _gauged_voltage(b, i, i, j)))
 
 
 @dataclass(frozen=True)

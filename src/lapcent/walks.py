@@ -5,6 +5,8 @@ Walk transition probabilities are p_ik = a_ik / d(i). Exact hitting times
 come from the chain's fundamental matrix (one dense inverse), deliberately
 independent of L+, so the identities that `lapcent.verify` checks compare
 two independent routes rather than one route with itself.
+The detour overhead reads the table at node ids or at index arrays, so a
+sweep over every triple is one array expression.
 """
 
 from __future__ import annotations
@@ -27,10 +29,17 @@ class HittingTable:
 
 
 def _volume(g: Graph) -> float:
-    """Vol(G); a graph whose degrees sum past the float64 range is refused."""
+    """Vol(G); a graph whose degrees sum past the float64 range is refused,
+    and so is one with a subnormal degree, whose reciprocal overflows."""
     vol = g.volume
+    d = g.degrees
     if vol == np.inf:
-        raise GraphError(f"Vol(G) overflows float64 (largest degree {g.degrees.max():.3g})")
+        raise GraphError(f"Vol(G) overflows float64 (largest degree {d.max():.3g})")
+    subnormal = np.flatnonzero((d > 0) & (d < np.finfo(np.float64).tiny))
+    if subnormal.size:
+        k = int(subnormal[0])
+        raise GraphError(f"degree {d[k]:.3g} of node {k} is subnormal; "
+                         f"its reciprocal overflows float64")
     return vol
 
 
@@ -54,14 +63,15 @@ def hitting_times_exact(g: Graph) -> HittingTable:
     return HittingTable(H=H, C=H + H.T, vol=vol)
 
 
-def detour_overhead(ht: HittingTable, i: int, k: int, j: int) -> float:
+def detour_overhead(ht: HittingTable, i, k, j):
     """Expected extra steps of the forced detour i -> k -> j over i -> j,
     H_ik + H_kj - H_ij.
 
-    For reversible walks it equals the commute form (C_ik + C_kj - C_ij) / 2;
-    verify's detour-equivalence checks that.
+    Node ids give an np.float64; index arrays broadcast to an array of
+    overheads. For reversible walks it equals the commute form
+    (C_ik + C_kj - C_ij) / 2; verify's detour-equivalence checks that.
     """
-    return float(ht.H[i, k] + ht.H[k, j] - ht.H[i, j])
+    return ht.H[i, k] + ht.H[k, j] - ht.H[i, j]
 
 
 def average_detour_overhead(ht: HittingTable, k: int) -> float:

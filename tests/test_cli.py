@@ -182,18 +182,25 @@ def test_compare_sensitivity_hitting_exit_0_with_finite_numbers_or_2_with_a_mess
 
 
 OVERFLOWING_VOLUME = "0 1 1e308\n"  # Vol(G) = 2e308 passes the float64 range
+SUBNORMAL_DEGREE = "0 1 5e-324\n1 2 1e300\n"  # d(0) is subnormal; Vol(G) is finite
+HITTING_02 = ["hitting", "{}", "-i", "0", "-j", "2"]
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["analyze", "{}"], "L+ is beyond float64 resolution: "),
-    (["hitting", "{}", "-i", "0", "-j", "1"], "Vol(G) overflows float64 ("),
-    (["hitting", "{}", "-i", "0", "-j", "1", "--method", "approx"], "Vol(G) overflows float64 ("),
-    (["sensitivity", "{}", "{}"], "subgraph centrality overflows float64: "),
-], ids=["analyze", "hitting-exact", "hitting-approx", "sensitivity"])
-def test_overflowing_volume_refused_with_one_line(argv, message):
+@pytest.mark.parametrize("text, argv, message", [
+    (OVERFLOWING_VOLUME, ["analyze", "{}"], "L+ is beyond float64 resolution: "),
+    (OVERFLOWING_VOLUME, ["hitting", "{}", "-i", "0", "-j", "1"], "Vol(G) overflows float64 ("),
+    (OVERFLOWING_VOLUME, ["hitting", "{}", "-i", "0", "-j", "1", "--method", "approx"],
+     "Vol(G) overflows float64 ("),
+    (OVERFLOWING_VOLUME, ["sensitivity", "{}", "{}"], "subgraph centrality overflows float64: "),
+    (SUBNORMAL_DEGREE, HITTING_02, "degree 4.94e-324 of node 0 is subnormal; "),
+    (SUBNORMAL_DEGREE, [*HITTING_02, "--method", "approx"],
+     "degree 4.94e-324 of node 0 is subnormal; "),
+], ids=["analyze", "hitting-exact", "hitting-approx", "sensitivity",
+        "subnormal-hitting-exact", "subnormal-hitting-approx"])
+def test_overflowing_volume_refused_with_one_line(text, argv, message):
     # used to print numpy RuntimeWarnings first, and then "Singular matrix"
     # (exact) or a JSON error (approx) for hitting
-    code, out, err = run_on_graph(OVERFLOWING_VOLUME, *argv)
+    code, out, err = run_on_graph(text, *argv)
     assert refused_with_a_message(code, out, err)
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
@@ -205,6 +212,13 @@ def test_overflowing_volume_refused_with_one_line(argv, message):
 def test_overflowing_volume_leaves_commands_that_never_sum_it(argv):
     code, out, err = run_on_graph(OVERFLOWING_VOLUME, *argv)
     assert not refused_with_a_message(code, out, err)
+
+
+def test_subnormal_degree_leaves_the_monte_carlo_walk():
+    code, out, err = run_on_graph(SUBNORMAL_DEGREE, *HITTING_02, "--method", "mc",
+                                  "--runs", "100")
+    assert not refused_with_a_message(code, out, err)
+    assert json.loads(out)["estimate"]["mean"] == 2.0
 
 
 class TestCompare:
@@ -556,6 +570,7 @@ ANALYZE_RING300_PINS = {
 
 # SHA-256 of `verify --seed 42` stdout.
 VERIFY_SEED_42_PIN = "e1085566bac5596d8b7c0f76d34999426f4a03c3c85eb93bc18cb3e756b47358"
+VERIFY_SEED_7_PIN = "42791a958017425f96172ff8b942541d37e9e0edc8c12faec29365dbb87e3cb5"
 
 
 def sha256(text):
@@ -659,3 +674,10 @@ def test_verify_output_bytes(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "42")
     assert code == 0
     assert sha256(out) == VERIFY_SEED_42_PIN
+
+
+def test_verify_seed_7_output_bytes(capsys):
+    # a second seed, so a faster sweep cannot move a printed residual unseen
+    code, out, _ = run(capsys, "verify", "--seed", "7")
+    assert code == 0
+    assert sha256(out) == VERIFY_SEED_7_PIN

@@ -4,6 +4,7 @@ import pytest
 from lapcent import (Graph, build_spectral, detour_overhead,
                      effective_resistance, export_netlist, hitting_times_exact,
                      recurrence_overhead, voltages)
+from lapcent.electrical import _gauged_voltage
 from lapcent.graph import GraphError
 from lapcent.verify import check_circuit_identities, check_current_law
 from lapcent.walks import estimate_visits_mc
@@ -96,6 +97,35 @@ class TestRecurrenceOverhead:
                             continue
                         assert recurrence_overhead(b, i, k, j) == pytest.approx(
                             detour_overhead(ht, i, k, j), abs=1e-9)
+
+
+class TestIndexArrays:
+    """Index arrays give exactly the values of one call per index tuple."""
+
+    @pytest.fixture(scope="class")
+    def routes(self):
+        g = random_connected(np.random.default_rng(11), 9, weighted=True)
+        i, k, j = np.indices((9, 9, 9)).reshape(3, -1)
+        return build_spectral(g), hitting_times_exact(g), i, k, j
+
+    def test_recurrence_overhead(self, routes):
+        b, _, i, k, j = routes
+        scalar = [recurrence_overhead(b, *t) for t in zip(i.tolist(), k.tolist(), j.tolist())]
+        assert type(scalar[0]) is np.float64
+        assert np.array_equal(recurrence_overhead(b, i, k, j), scalar)
+
+    def test_detour_overhead(self, routes):
+        _, ht, i, k, j = routes
+        scalar = [detour_overhead(ht, *t) for t in zip(i.tolist(), k.tolist(), j.tolist())]
+        assert type(scalar[0]) is np.float64
+        assert np.array_equal(detour_overhead(ht, i, k, j), scalar)
+
+    def test_gauged_voltage(self, routes):
+        b, _, x, i, j = routes
+        keep = i != j
+        x, i, j = x[keep], i[keep], j[keep]
+        scalar = [voltages(b, *t[1:]).v[t[0]] for t in zip(x.tolist(), i.tolist(), j.tolist())]
+        assert np.array_equal(_gauged_voltage(b, x, i, j), scalar)
 
 
 class TestCircuitIdentities:

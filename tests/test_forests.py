@@ -152,6 +152,22 @@ class TestForestCensus:
         with pytest.raises(GraphError):
             forest_census(Graph(3, [(0, 1, 2.0), (1, 2)]))
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_aggregates_the_bipartitions(self, n):
+        # the census sums the split counts without building the partitions
+        g = random_connected(np.random.default_rng(40 + n), n, p=0.5)
+        rooted, n2 = [0] * n, 0
+        for p in enumerate_bipartitions(g):
+            pair = p.trees_s * p.trees_sprime
+            n2 += pair * len(p.s_nodes) * len(p.sprime_nodes)
+            for i in p.s_nodes:
+                rooted[i] += pair * len(p.sprime_nodes)
+            for i in p.sprime_nodes:
+                rooted[i] += pair * len(p.s_nodes)
+        c = forest_census(g)
+        assert (c.eps_n1, c.eps_n2, c.eps_rooted) == \
+            (n * count_spanning_trees(g), n2, tuple(rooted))
+
 
 class TestForestDiagonal:
     def test_p3_exact_fractions(self):

@@ -284,6 +284,12 @@ class TestTreeScan:
             tuple(int(x) for x in _kernels.tree_scan(n))
         assert best == (n - 1) ** 2 and star_count == n
 
+    def test_eight_nodes_in_any_block_size(self, monkeypatch):
+        # 8**6 sequences: 32 default blocks, or 262 of 1000 and a partial one
+        assert _kernels.tree_scan(8) == (49, 8, 49, 8)
+        monkeypatch.setattr(_kernels, "TREE_BLOCK", 1000)
+        assert _kernels.tree_scan(8) == (49, 8, 49, 8)
+
     def test_independent_of_block_size(self, monkeypatch):
         # 11 divides none of the sequence counts n**(n-2), so every scan
         # ends on a partial block
