@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--only", default=None, help="substring filter on check names")
     sp.add_argument("--n", type=int, default=None, help="override instance size caps")
     sp.add_argument("--tolerance", type=float, default=None,
-                    help="override every check tolerance")
+                    help="compare every raw residual with this one bound, in place "
+                         "of each check's bound c*n*eps*kappa*scale")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("gen", help="generate a core/gateway topology")

@@ -54,8 +54,11 @@ class SpectralBundle:
 
     `diag` is diag(L+) from the row norms of F; `lplus` is the n x n matrix
     (symmetric, rows sum to zero, diagonal equal to `diag`), formed on first
-    use. Both are cached and read-only.
+    use. Both are cached and read-only. `rho` is the certificate that
+    `build_spectral` computed for the bundle.
     """
+
+    rho: float
 
     def __init__(self, graph, factor, scale):
         self.graph = graph
@@ -146,7 +149,7 @@ def build_spectral(g: Graph) -> SpectralBundle:
             raise _unresolved(g, "rho = nan, the Cholesky factorization failed") from None
         _invert_lower(c)
         b = SpectralBundle(g, c.T, s)
-        rho = certificate(b)
+        rho = b.rho = certificate(b)
     if not math.isfinite(rho):
         raise _unresolved(g, f"certificate rho = {rho:.3g} is not finite")
     if rho > RHO_MAX:

@@ -30,16 +30,19 @@ class HittingTable:
 
 def _volume(g: Graph) -> float:
     """Vol(G); a graph whose degrees sum past the float64 range is refused,
-    and so is one with a subnormal degree, whose reciprocal overflows."""
+    and so is one whose stationary probability pi = d / Vol(G) falls below
+    the normal range at some node, where 1/pi overflows (exact hitting
+    divides by pi, the dense approximation by d / Vol(G))."""
     vol = g.volume
     d = g.degrees
     if vol == np.inf:
         raise GraphError(f"Vol(G) overflows float64 (largest degree {d.max():.3g})")
-    subnormal = np.flatnonzero((d > 0) & (d < np.finfo(np.float64).tiny))
-    if subnormal.size:
-        k = int(subnormal[0])
-        raise GraphError(f"degree {d[k]:.3g} of node {k} is subnormal; "
-                         f"its reciprocal overflows float64")
+    if vol > 0:
+        k = int(np.argmin(d))
+        if d[k] / vol < np.finfo(np.float64).tiny:
+            raise GraphError(f"stationary probability d/Vol(G) = {d[k]:.3g}/{vol:.3g} of "
+                             f"node {k} is below the float64 normal range; its "
+                             f"reciprocal overflows")
     return vol
 
 
@@ -213,4 +216,5 @@ def approx_commute_dense(g: Graph, i: int, j: int) -> float:
     if i == j:
         return 0.0
     d = g.degrees
-    return float(_volume(g) * (1.0 / d[i] + 1.0 / d[j]))
+    vol = _volume(g)
+    return float(vol / d[i] + vol / d[j])

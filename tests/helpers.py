@@ -7,18 +7,14 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from lapcent import Graph
-from lapcent.verify import (complete_graph, path_graph, random_connected,
-                            random_tree, tree_from_pruefer)
+from lapcent import Graph, build_spectral, hitting_times_exact
+from lapcent.verify import (Gap, Routes, bound, complete_graph, cycle_graph, path_graph,
+                            random_connected, random_tree, tree_from_pruefer)
 
 
 def star_graph(n):
     """Hub is node 0."""
     return Graph(n, [(0, i) for i in range(1, n)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def wide_weight_cycle(n=60):
@@ -52,6 +48,18 @@ def wide_weight_graphs(draw):
                                .filter(lambda p: p[0] < p[1]), max_size=n)))
     exps = draw(st.lists(st.floats(-20.0, 3.0), min_size=len(pairs), max_size=len(pairs)))
     return "".join(f"{u} {v} {10.0 ** e!r}\n" for (u, v), e in zip(sorted(pairs), exps))
+
+
+def routes(g):
+    """g as an instance of verify's shared pools."""
+    return Routes(g, hitting_times_exact(g), build_spectral(g))
+
+
+def within_bounds(value, n):
+    """Whether each Gap that a verify check returns for an n-node instance
+    stays within 1e-9 and within its own bound."""
+    gaps = (value,) if isinstance(value, Gap) else value
+    return all(gap.residual <= min(1e-9, bound(n, gap.scale, gap.kappa)) for gap in gaps)
 
 
 def rel_gap(got, want):

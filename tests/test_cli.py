@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lapcent import Graph, SpectralBundle, abilene_topology, format_edge_list, zoo
+from lapcent import Graph, SpectralBundle, abilene_topology, format_edge_list, verify, zoo
 from lapcent.cli import main
 
 from helpers import ring_chords, wide_weight_graphs
@@ -183,7 +183,9 @@ def test_compare_sensitivity_hitting_exit_0_with_finite_numbers_or_2_with_a_mess
 
 OVERFLOWING_VOLUME = "0 1 1e308\n"  # Vol(G) = 2e308 passes the float64 range
 SUBNORMAL_DEGREE = "0 1 5e-324\n1 2 1e300\n"  # d(0) is subnormal; Vol(G) is finite
+TINY_PI = "0 1 1e-300\n1 2 1e300\n"  # d(0) is normal, but pi(0) = d(0) / Vol(G) underflows
 HITTING_02 = ["hitting", "{}", "-i", "0", "-j", "2"]
+PI_OF_NODE_0 = "stationary probability d/Vol(G) = {} of node 0 is below the float64 normal range; "
 
 
 @pytest.mark.parametrize("text, argv, message", [
@@ -192,11 +194,14 @@ HITTING_02 = ["hitting", "{}", "-i", "0", "-j", "2"]
     (OVERFLOWING_VOLUME, ["hitting", "{}", "-i", "0", "-j", "1", "--method", "approx"],
      "Vol(G) overflows float64 ("),
     (OVERFLOWING_VOLUME, ["sensitivity", "{}", "{}"], "subgraph centrality overflows float64: "),
-    (SUBNORMAL_DEGREE, HITTING_02, "degree 4.94e-324 of node 0 is subnormal; "),
+    (SUBNORMAL_DEGREE, HITTING_02, PI_OF_NODE_0.format("4.94e-324/2e+300")),
     (SUBNORMAL_DEGREE, [*HITTING_02, "--method", "approx"],
-     "degree 4.94e-324 of node 0 is subnormal; "),
+     PI_OF_NODE_0.format("4.94e-324/2e+300")),
+    (TINY_PI, HITTING_02, PI_OF_NODE_0.format("1e-300/2e+300")),
+    (TINY_PI, [*HITTING_02, "--method", "approx"], PI_OF_NODE_0.format("1e-300/2e+300")),
 ], ids=["analyze", "hitting-exact", "hitting-approx", "sensitivity",
-        "subnormal-hitting-exact", "subnormal-hitting-approx"])
+        "subnormal-hitting-exact", "subnormal-hitting-approx",
+        "tiny-pi-hitting-exact", "tiny-pi-hitting-approx"])
 def test_overflowing_volume_refused_with_one_line(text, argv, message):
     # used to print numpy RuntimeWarnings first, and then "Singular matrix"
     # (exact) or a JSON error (approx) for hitting
@@ -212,6 +217,17 @@ def test_overflowing_volume_refused_with_one_line(text, argv, message):
 def test_overflowing_volume_leaves_commands_that_never_sum_it(argv):
     code, out, err = run_on_graph(OVERFLOWING_VOLUME, *argv)
     assert not refused_with_a_message(code, out, err)
+
+
+@pytest.mark.parametrize("method, hitting, commute", [("exact", 1.0, 2.0), ("approx", 2.0, 4.0)])
+def test_subnormal_degree_with_a_normal_pi_is_answered(method, hitting, commute):
+    # pi = d / Vol(G) = 1/2 at both ends of one subnormal edge, so nothing
+    # overflows; the subnormal degree alone used to be refused
+    code, out, err = run_on_graph("0 1 5e-324\n", "hitting", "{}", "-i", "0", "-j", "1",
+                                  "--method", method)
+    assert not refused_with_a_message(code, out, err)
+    rep = json.loads(out)
+    assert (rep["hitting"], rep["commute"]) == (hitting, commute)
 
 
 def test_subnormal_degree_leaves_the_monte_carlo_walk():
@@ -412,11 +428,44 @@ class TestVerify:
         assert err == f"error: --seed must be in [0, 2**64), got {seed}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("n", ["20", "30"])
+    @pytest.mark.parametrize("n", ["20", "30", "40", "50"])
     def test_sc_series_oracle_holds_on_larger_graphs(self, capsys, n):
-        # a fixed 30 terms leave a tail above the bound here (6.3e-07 at --n 20)
+        # a fixed 30 terms leave a tail above the bound here (6.3e-07 at --n 20);
+        # at 40 and 50 SC reaches e^20, past what a fixed 1e-9 allows
         code, out, _ = run(capsys, "verify", "--n", n, "--only", "sc-series")
         assert code == 0 and out.startswith("PASS sc-series: ")
+
+    def test_lplus_off_by_1e_13_fails_spectral_consistency(self, monkeypatch):
+        # a centred symmetric error of 1e-13 max|L+| in every bundle passed
+        # the fixed per-identity tolerances of 1e-8 to 1e-10
+        rng = np.random.default_rng(0)
+
+        def perturbed(g):
+            b = build_spectral(g)
+            e = rng.standard_normal((g.n, g.n))
+            e += e.T
+            e -= e.mean(axis=0)
+            e -= e.mean(axis=1)[:, None]
+            vars(b)["lplus"] = b.lplus + e * (1e-13 * np.abs(b.lplus).max() / np.abs(e).max())
+            return b
+
+        build_spectral = verify.build_spectral
+        monkeypatch.setattr(verify, "build_spectral", perturbed)
+        (res,) = verify.run_checks(verify.VerifyConfig(), only="spectral-consistency")
+        assert not res.passed
+
+    def test_shared_pools_compute_each_route_once(self, monkeypatch):
+        # detour-average and commute-resistance share 100 graphs, and
+        # commute-rowsum and cstar-commute-rank share 50; each drew its own
+        calls = dict.fromkeys(["hitting_times_exact", "build_spectral"], 0)
+        for name in calls:
+            def counted(g, fn=getattr(verify, name), name=name):
+                calls[name] += 1
+                return fn(g)
+            monkeypatch.setattr(verify, name, counted)
+        results = verify.run_checks(verify.VerifyConfig(seed=42))
+        assert [r.passed for r in results] == [True] * 25
+        assert calls == {"hitting_times_exact": 192, "build_spectral": 1032}
 
     def test_unknown_filter(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "zzz-no-such")
@@ -569,8 +618,8 @@ ANALYZE_RING300_PINS = {
 }
 
 # SHA-256 of `verify --seed 42` stdout.
-VERIFY_SEED_42_PIN = "e1085566bac5596d8b7c0f76d34999426f4a03c3c85eb93bc18cb3e756b47358"
-VERIFY_SEED_7_PIN = "42791a958017425f96172ff8b942541d37e9e0edc8c12faec29365dbb87e3cb5"
+VERIFY_SEED_42_PIN = "781d4635527058a910324285cc30bf666f46fbb2a91aa6e67de0a2cc1eb523df"
+VERIFY_SEED_7_PIN = "9bfd0b51ece8f07bd2c83a33064237bc254e7edb585d31a2788660131aade886"
 
 
 def sha256(text):

@@ -10,7 +10,7 @@ from lapcent.verify import check_circuit_identities, check_current_law
 from lapcent.walks import estimate_visits_mc
 
 from helpers import (complete_graph, fundamental_visits, path_graph,
-                     random_connected)
+                     random_connected, within_bounds)
 
 
 class TestVoltages:
@@ -134,7 +134,7 @@ class TestCircuitIdentities:
         b = build_spectral(path_graph(3))
         assert voltages(b, 0, 2).v[0] == pytest.approx(
             voltages(b, 0, 2).v[1] + voltages(b, 2, 0).v[1], abs=1e-12)
-        assert check_circuit_identities.residual(path_graph(3)) <= 1e-9
+        assert within_bounds(check_circuit_identities.residual(path_graph(3)), 3)
 
     def test_k4_random_triples(self):
         rng = np.random.default_rng(6)
@@ -142,7 +142,7 @@ class TestCircuitIdentities:
         for x, y, z in (tuple(rng.integers(0, 4, 3)) for _ in range(100)):
             if len({x, y, z}) == 3:  # reciprocity V^{xy}_z = V^{zy}_x
                 assert voltages(b, x, y).v[z] == pytest.approx(voltages(b, z, y).v[x], abs=1e-9)
-        assert check_circuit_identities.residual(complete_graph(4)) <= 1e-9
+        assert within_bounds(check_circuit_identities.residual(complete_graph(4)), 4)
 
 
 class TestCurrentLaw:
@@ -151,7 +151,7 @@ class TestCurrentLaw:
         for trial in range(10):
             g = random_connected(rng, int(rng.integers(3, 10)),
                                        weighted=bool(trial % 2))
-            assert check_current_law.residual(g) <= 1e-9
+            assert within_bounds(check_current_law.residual(g), g.n)
 
 
 class TestVisitsMonteCarlo:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lapcent import (DisconnectedError, Graph, GraphError, abilene_topology,
 from lapcent import parse_edge_list, spectral
 from lapcent.graph import _shifted_laplacian
 from lapcent.spectral import LEAF, RHO_MAX, certificate
-from lapcent.verify import ALL_CHECKS, VerifyConfig, eigen_route
+from lapcent.verify import ALL_CHECKS, Sweep, VerifyConfig, eigen_route
 
 from helpers import (complete_graph, path_graph, random_connected, ring_chords,
                      star_graph, wide_weight_cycle, wide_weight_graphs)
@@ -264,7 +265,16 @@ class TestCertificate:
     ], ids=["p3-1e-12", "preset", "wide-weight-cycle", "path-800"])
     def test_accepted(self, g, lo, hi):
         b = build_spectral(g)
-        assert lo <= certificate(b) <= hi <= RHO_MAX
+        assert lo <= b.rho <= hi <= RHO_MAX
+        assert b.rho == certificate(b)
+
+    def test_bundle_is_freed_with_its_last_reference(self):
+        # nothing caches a bundle, its n x n factor or the L+ it formed
+        b = build_spectral(path_graph(200))
+        b.lplus
+        ref = weakref.ref(b)
+        del b
+        assert ref() is None
 
     def test_accepted_value_is_within_rho(self):
         k, _ = kirchhoff_index(build_spectral(_p3(1.0, 1e-12)))
@@ -299,8 +309,7 @@ class TestCertificate:
     def test_verify_instances_are_far_inside_the_bound(self):
         worst = 0.0
         for _, check in ALL_CHECKS:
-            sweep = getattr(check, "sweep", None)
-            if sweep is not None:
-                for g in sweep.instances(VerifyConfig().seed):
-                    worst = max(worst, certificate(build_spectral(g)))
+            if isinstance(check.sweep, Sweep):
+                for inst in check.sweep.instances(VerifyConfig().seed):
+                    worst = max(worst, build_spectral(getattr(inst, "graph", inst)).rho)
         assert 0.0 < worst <= 1e-12
