@@ -102,7 +102,7 @@ def cmd_verify(args) -> int:
     from .graph import format_edge_list
     from .verify import VerifyConfig, run_checks
 
-    cfg = VerifyConfig(seed=args.seed, tolerance=args.tolerance, max_n=args.n)
+    cfg = VerifyConfig(seed=args.seed, max_n=args.n)
     results = run_checks(cfg, only=args.only)
     if not results:
         print(f"no check matches --only {args.only!r}", file=sys.stderr)
@@ -230,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--only", default=None, help="substring filter on check names")
     sp.add_argument("--n", type=int, default=None, help="override instance size caps")
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="compare every raw residual with this one bound, in place "
-                         "of each check's bound c*n*eps*kappa*scale")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("gen", help="generate a core/gateway topology")

@@ -6,8 +6,8 @@ Every check is a `Check`: a pool of instances (a seeded `Sweep`, or fixed
 cases) and a function of one instance that returns a `Gap`, a tuple of Gaps,
 or a count. A Gap passes while its residual stays within
 `bound(n, scale, kappa)` = c n eps kappa scale, which grows with the
-instance as float64 rounding does; `--tolerance` replaces every bound with
-one number. Failing instances go back as edge lists for replay. Production
+instance as float64 rounding does, and fails when it exceeds the bound or
+is NaN. Failing instances go back as edge lists for replay. Production
 modules compute each side of an identity by its own route; the arithmetic
 that compares the sides, and the routes kept only for checking, live here.
 """
@@ -41,29 +41,30 @@ from .zoo import (centrality_report, max_normalized, randomwalk_betweenness,
 
 @dataclass
 class CheckResult:
+    """One check's verdict and its printed line. A check whose instances
+    return Gaps reports the tightest Gap, the one with the least headroom;
+    it passed only if every Gap stayed within its bound."""
+
     name: str
     passed: bool
     detail: str = ""
-    residual: float | None = None  # the tightest Gap's, or the largest under --tolerance
-    bound: float | None = None     # its bound, or the --tolerance override
-    headroom: float | None = None  # bound / residual; None under --tolerance
+    residual: float | None = None  # the tightest Gap's; None for a count check
+    bound: float | None = None     # its bound
+    headroom: float | None = None  # bound / residual
     failures: list = field(default_factory=list)  # failing instances, as Graphs
 
     def line(self) -> str:
         body = self.detail
-        if self.headroom is not None:
+        if self.residual is not None:
             body = (f"residual {self.residual:.3e}, bound {self.bound:.3e}, "
                     f"headroom {self.headroom:.3g}; {body}")
-        elif self.residual is not None:
-            body = f"max residual {self.residual:.3e} (tol {self.bound:.1e}); {body}"
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {body}"
 
 
 @dataclass
 class VerifyConfig:
     seed: int = 42
-    tolerance: float | None = None  # replaces every bound when set
-    max_n: int | None = None        # overrides instance-size upper bounds
+    max_n: int | None = None  # overrides instance-size upper bounds
 
 
 MC_RUNS = 20000  # Monte Carlo runs per estimate
@@ -203,25 +204,23 @@ ROUTES_100 = Sweep(100, 4, 12, gen=_routes)
 ROUTES_50 = Sweep(50, 3, 12, gen=_routes)
 
 
-def _bounded(records, tolerance):
-    """The failing instances, and the line's numbers: the tightest Gap with
-    its bound and headroom, or the largest residual against `tolerance`."""
+def _bounded(records):
+    """The instances with a Gap past its bound (or NaN), and the line's
+    numbers: the tightest Gap's residual, its bound, and the headroom
+    bound / residual."""
     failed, top = [], None  # top: (load, residual, limit)
     for inst, value in records:
         n, ok = getattr(inst, "graph", inst).n, True
         for res, scale, kappa in (value,) if isinstance(value, Gap) else value:
-            limit = bound(n, scale, kappa) if tolerance is None else tolerance
+            limit = bound(n, scale, kappa)
             ok &= res <= limit  # a NaN residual fails
-            load = res if tolerance is not None else res / limit if res else 0.0
+            load = res / limit if res else 0.0
             if top is None or not load <= top[0]:
                 top = (load, res, limit)
         if not ok:
             failed.append(inst)
     load, res, limit = top
-    numbers = {"residual": res, "bound": limit}
-    if tolerance is None:
-        numbers["headroom"] = 1 / load if load else math.inf
-    return failed, numbers
+    return failed, {"residual": res, "bound": limit, "headroom": 1 / load if load else math.inf}
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,8 @@ class Check:
     fixed cases) as `check.sweep`. Without `agg` the function returns a Gap
     or a tuple of Gaps; with agg=sum a violation count, and with agg=min a
     quantity that must stay positive. `detail` is formatted with the
-    aggregate, or called with the (instance, value) records."""
+    aggregate, or called with the (instance, value) records. A NaN value
+    fails under every agg."""
 
     name: str
     pool: Sweep | Callable
@@ -258,10 +258,10 @@ class Check:
         records = [(inst, residual(inst)) for inst in drawn[key]]
         numbers, summary = {}, None
         if self.agg is None:
-            failed, numbers = _bounded(records, cfg.tolerance)
+            failed, numbers = _bounded(records)
         else:
             summary = self.agg(v for _, v in records)
-            failed = [inst for inst, v in records if (v <= 0 if self.agg is min else v > 0)]
+            failed = [inst for inst, v in records if (not v > 0 if self.agg is min else v != 0)]
         detail = self.detail(records) if callable(self.detail) else self.detail.format(summary)
         graphs = [g for g in (getattr(i, "graph", i) for i in failed) if isinstance(g, Graph)]
         return CheckResult(self.name, not failed, detail, failures=graphs, **numbers)
@@ -274,7 +274,7 @@ class Check:
 def check_detour_average(r):
     """Average forced-detour overhead through k equals l+_kk."""
     b = r.b
-    res = max(abs(average_detour_overhead(r.ht, k) - b.diag[k]) for k in range(b.n))
+    res = np.max([abs(average_detour_overhead(r.ht, k) - b.diag[k]) for k in range(b.n)])
     return Gap(float(res), float(b.diag.max()), condition(b))
 
 
@@ -303,7 +303,7 @@ def check_detour_equivalence(g):
     hit = detour_overhead(ht, i, k, j)
     com = (ht.C[i, k] + ht.C[k, j] - ht.C[i, j]) / 2.0
     rev = detour_overhead(ht, j, k, i)
-    return Gap(float(max(np.max(np.abs(hit - com)), np.max(np.abs(hit - rev)))),
+    return Gap(float(np.max([np.max(np.abs(hit - com)), np.max(np.abs(hit - rev))])),
                float(ht.C.max()))
 
 
@@ -330,7 +330,7 @@ def check_circuit_identities(g):
     top = _gauged_voltage(b, x, x, z)
     sup = np.abs(top - (_gauged_voltage(b, y, x, z) + _gauged_voltage(b, y, z, x)))
     rec = np.abs(_gauged_voltage(b, z, x, y) - _gauged_voltage(b, x, z, y))
-    return Gap(float(max(sup.max(), rec.max())), float(top.max()), condition(b))
+    return Gap(float(np.max([sup.max(), rec.max()])), float(top.max()), condition(b))
 
 
 @Check("current-law", Sweep(20, 3, 10, gen=_alternating), "all source/sink pairs on 20 graphs")
@@ -415,8 +415,8 @@ def check_resistance_metric(g):
 def check_spd_metric(g):
     """Geodesic distance is a metric (symmetry, zero diagonal, triangle)."""
     spd = shortest_path_distances(g)
-    return Gap(max(float(np.max(np.abs(spd - spd.T))), float(np.max(np.abs(np.diag(spd)))),
-                   float(np.max(spd[:, :, None] - spd[:, None, :] - spd[None, :, :]))),
+    return Gap(float(np.max([np.max(np.abs(spd - spd.T)), np.max(np.abs(np.diag(spd))),
+                             np.max(spd[:, :, None] - spd[:, None, :] - spd[None, :, :])])),
                float(spd.max()))
 
 
@@ -621,7 +621,7 @@ def check_mc_hitting(case):
     (plus the table's rounding bound), and the per-run sequence is
     chunking-invariant."""
     g, pairs, seed = case
-    misses = sum(abs(est.mean - exact) > 4 * est.std_error + bound(g.n, exact)
+    misses = sum(not abs(est.mean - exact) <= 4 * est.std_error + bound(g.n, exact)
                  for _, _, est, exact in hitting_estimates(g, pairs, MC_RUNS, seed))
     whole = simulate_hitting_steps(g, 0, 1, 512, seed)
     return misses + (not np.array_equal(whole, chunked_steps(g, 0, 1, seed, (200, 312))))
@@ -637,8 +637,8 @@ def check_mc_visits(case):
     for i, j in pairs:
         visits = voltages(b, i, j).visits
         est = estimate_visits_mc(g, i, j, MC_RUNS, seed)
-        far = np.abs(est.means - visits) > 4 * est.std_errors + bound(g.n, visits, condition(b))
-        misses += int(np.delete(far, j).sum())  # a walk never visits its target
+        near = np.abs(est.means - visits) <= 4 * est.std_errors + bound(g.n, visits, condition(b))
+        misses += int(np.delete(~near, j).sum())  # a walk never visits its target
     return misses
 
 
@@ -686,7 +686,7 @@ def check_sensitivity_directions(case):
     bad += which == "pert2" and d["randic"] != 0.0
     # K* = 1/K, so dK* = K_before / K_after - 1 = -dK * K_before / K_after
     ratio = rep.before["kirchhoff"] / rep.after["kirchhoff"]
-    return bad + (abs(d["kstar"] + d["kirchhoff"] * ratio) > bound(n, ratio))
+    return bad + (not abs(d["kstar"] + d["kirchhoff"] * ratio) <= bound(n, ratio))
 
 
 def run_checks(cfg: VerifyConfig, only: str | None = None):
@@ -695,13 +695,11 @@ def run_checks(cfg: VerifyConfig, only: str | None = None):
     A GraphError raised inside a check, such as a violated preset
     constraint, becomes that check's FAIL result; the other checks still
     run. Raises ValueError before running anything if `cfg.seed` lies
-    outside [0, 2**64), if `cfg.tolerance` is not a finite number >= 0, or
-    if `cfg.max_n` lies below a selected sweep's smallest instance size.
+    outside [0, 2**64), or if `cfg.max_n` lies below a selected sweep's
+    smallest instance size.
     """
     if not 0 <= cfg.seed < 2**64:
         raise ValueError(f"--seed must be in [0, 2**64), got {cfg.seed}")
-    if cfg.tolerance is not None and not 0 <= cfg.tolerance < math.inf:
-        raise ValueError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
     selected = [(name, fn) for name, fn in ALL_CHECKS if not only or only in name]
     for name, fn in selected:
         sweep = getattr(fn, "sweep", None)

@@ -1,11 +1,13 @@
 """Acceptance suite: each test enforces one numbered criterion at its stated
-tolerance and prints a one-line PASS record (run pytest -s to see them).
+cap and prints a one-line PASS record (run pytest -s to see them).
 
 A criterion whose instance pool is a `lapcent verify` sweep runs that check
-from the registry at the criterion's seed and tolerance, after pinning the
-sweep's instance count and n range. Where a criterion's pool differs, the
-test keeps its own pool and applies the registry's per-instance residual to
-it. Every tolerance is pinned here, not configurable.
+from the registry at the criterion's seed, after pinning the sweep's
+instance count and n range: the check must pass at its own bound, and every
+instance's residual must also stay within the criterion's cap of 1e-9
+(`helpers.within_bounds`). Where a criterion's pool differs, the test keeps
+its own pool and applies the registry's per-instance residual to it. Every
+cap is pinned here, not configurable.
 """
 
 import time
@@ -16,7 +18,7 @@ import pytest
 
 from lapcent.forests import lplus_diag_fractions, tree_center
 from lapcent.topology import DOWN, FLAT, UP
-from lapcent.verify import (TABLE1_EXPECT, VerifyConfig, check_circuit_identities,
+from lapcent.verify import (TABLE1_EXPECT, Gap, VerifyConfig, check_circuit_identities,
                             check_commute_resistance, check_detour_average,
                             check_detour_equivalence, check_electrical_detour,
                             check_extremal_kirchhoff, check_forest_diagonal,
@@ -24,21 +26,28 @@ from lapcent.verify import (TABLE1_EXPECT, VerifyConfig, check_circuit_identitie
                             check_tree_partition, chunked_steps, hitting_estimates)
 from lapcent.walks import simulate_hitting_steps
 
-from helpers import complete_graph, path_graph, star_graph
+from helpers import complete_graph, path_graph, star_graph, within_bounds
 
 
 def report(name, detail):
     print(f"PASS {name}: {detail}")
 
 
-def run_sweep(check, seed, tol, count, lo, hi):
-    """Run a registry sweep at a criterion's seed and tolerance, with its
-    instance count and n range pinned to the criterion's."""
+def run_sweep(check, seed, count, lo, hi):
+    """Run a registry sweep at a criterion's seed, with its instance count
+    and n range pinned to the criterion's; assert that it passes and that
+    every instance stays within 1e-9 and its bound. Returns the largest raw
+    residual of the pool."""
     sweep = check.sweep
     assert (sweep.count, sweep.lo, sweep.hi) == (count, lo, hi)
-    res = check(VerifyConfig(seed=seed, tolerance=tol))
+    res = check(VerifyConfig(seed=seed))
     assert res.passed, res.line()
-    return res
+    gaps = []
+    for inst in sweep.instances(seed):
+        value = check.residual(inst)
+        assert within_bounds(value, getattr(inst, "graph", inst).n), value
+        gaps += (value,) if isinstance(value, Gap) else value
+    return max(gap.residual for gap in gaps)
 
 
 @pytest.fixture(scope="module")
@@ -50,35 +59,35 @@ def pool100():
 
 def test_criterion_1_theorem1_average_detour():
     t0 = time.perf_counter()
-    res = run_sweep(check_detour_average, 42, 1e-9, 100, 4, 12)
+    worst = run_sweep(check_detour_average, 42, 100, 4, 12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report("criterion-1 (average detour = l+_kk)",
-           f"max residual {res.residual:.3e} on 100 graphs in {elapsed:.1f}s")
+           f"max residual {worst:.3e} on 100 graphs in {elapsed:.1f}s")
 
 
 def test_criterion_2_commute_identities(pool100):
-    res = run_sweep(check_commute_resistance, 42, 1e-9, 100, 4, 12)
+    worst_c = run_sweep(check_commute_resistance, 42, 100, 4, 12)
     small = [g for g in pool100 if g.n <= 8]
     assert small
     worst_d = max(check_detour_equivalence.residual(g).residual for g in small)
     assert worst_d <= 1e-9
     report("criterion-2 (commute = Vol*resistance; detour equivalences)",
-           f"residuals {res.residual:.3e} / {worst_d:.3e} "
+           f"residuals {worst_c:.3e} / {worst_d:.3e} "
            f"({len(small)} graphs with n<=8 for the triple sweep)")
 
 
 def test_criterion_3_theorem2_electrical():
-    res = run_sweep(check_electrical_detour, 7, 1e-9, 20, 4, 10)
+    worst_e = run_sweep(check_electrical_detour, 7, 20, 4, 10)
     graphs = list(check_electrical_detour.sweep.instances(7))
     worst_i = max(check_circuit_identities.residual(g).residual for g in graphs)
     assert worst_i <= 1e-9
     report("criterion-3 (electrical overhead; superposition/reciprocity)",
-           f"residuals {res.residual:.3e} / {worst_i:.3e} on {len(graphs)} graphs")
+           f"residuals {worst_e:.3e} / {worst_i:.3e} on {len(graphs)} graphs")
 
 
 def test_criterion_4_forest_diagonal():
-    res = run_sweep(check_forest_diagonal, 11, 1e-9, 500, 3, 7)
+    worst = run_sweep(check_forest_diagonal, 11, 500, 3, 7)
     # exact rational hand values
     assert lplus_diag_fractions(path_graph(3)) == \
         [Fraction(5, 9), Fraction(2, 9), Fraction(5, 9)]
@@ -88,15 +97,15 @@ def test_criterion_4_forest_diagonal():
     p4 = lplus_diag_fractions(path_graph(4))
     assert p4 == [Fraction(7, 8), Fraction(3, 8), Fraction(3, 8), Fraction(7, 8)]
     report("criterion-4 (forest census = spectral diagonal)",
-           f"max residual {res.residual:.3e} on 500 graphs; rational hand values exact")
+           f"max residual {worst:.3e} on 500 graphs; rational hand values exact")
 
 
 def test_criterion_5_tree_centrality():
     # the residual is at least 1 on a tree whose most central node is off-center
-    res = run_sweep(check_tree_partition, 13, 1e-9, 100, 3, 12)
+    worst = run_sweep(check_tree_partition, 13, 100, 3, 12)
     assert tree_center(path_graph(4)) == (1, 2)
     report("criterion-5 (tree partition formula; centers)",
-           f"max residual {res.residual:.3e} on 100 trees; P4 tie (1, 2)")
+           f"max residual {worst:.3e} on 100 trees; P4 tie (1, 2)")
 
 
 def test_criterion_6_monte_carlo_oracle():
