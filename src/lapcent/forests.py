@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, GraphError, is_connected
+from .graph import Graph, GraphError, _shifted_laplacian, is_connected
 
 MAX_ENUM_NODES = 14  # bi-partition enumeration is exponential in n
 CENTER_RTOL = 1e-9  # geodesic totals this close to the minimum tie for tree_center
@@ -105,7 +105,7 @@ def count_spanning_trees(g: Graph):
         return 0
     if g.unweighted:
         return _mask_tree_count(list(range(g.n)), (1 << g.n) - 1, _neighbor_masks(g))
-    return float(np.linalg.det(g.laplacian[1:, 1:]))
+    return float(np.linalg.det(_shifted_laplacian(g)[1:, 1:]))
 
 
 # -- bi-partitions ------------------------------------------------------

@@ -5,10 +5,12 @@ Geodesic computations therefore use 1/w as the length of an edge; unweighted
 graphs (all weights 1.0) fall back to plain hop counts.
 
 `Graph` is the one place that applies the edge rules and the one owner of
-the views derived from its edges (edge arrays, adjacency, degrees, volume,
-Laplacian, CSR, breadth-first search, geodesic distances): each is computed
-on first use, cached and returned read-only. The one search serves the
-components and the rooting of a tree (`lapcent.forests`).
+the views derived from its edges (edge arrays, degrees, volume, CSR,
+breadth-first search, geodesic distances): each is computed on first use,
+cached and returned read-only. The one search serves the components and the
+rooting of a tree (`lapcent.forests`). The distances are the only n x n
+view kept; every other dense matrix is built by `_edge_matrix` in the
+routine that reads it.
 """
 
 from __future__ import annotations
@@ -92,26 +94,11 @@ class Graph:
                 _frozen(cols[:, 2]))
 
     @cached_property
-    def adjacency(self):
-        """Dense symmetric affinity matrix with zero diagonal."""
-        u, v, w = self.edge_arrays
-        a = np.zeros((self.n, self.n))
-        a[u, v] = w
-        a[v, u] = w
-        return _frozen(a)
-
-    @cached_property
     def degrees(self):
         """Generalized degrees d(i) = sum_j a_ij, summed in edge order."""
         u, v, w = self.edge_arrays
         ends = np.column_stack([u, v]).ravel()  # u0 v0 u1 v1 ...
         return _frozen(np.bincount(ends, weights=np.repeat(w, 2), minlength=self.n))
-
-    @cached_property
-    def laplacian(self):
-        """Combinatorial Laplacian L = D - A, built from the edge arrays and
-        the degrees without forming the adjacency (the same bits)."""
-        return _frozen(_shifted_laplacian(self, 1.0, 0.0))
 
     @cached_property
     def volume(self):
@@ -138,19 +125,15 @@ class Graph:
             adj[u].append((v, w))
             adj[v].append((u, w))
         indptr = np.zeros(self.n + 1, np.int64)
-        nbrs = np.empty(2 * self.m, np.int64)
-        cumw = np.empty(2 * self.m, np.float64)
-        pos = 0
+        nbrs, cumw = [], []
         for u in range(self.n):
-            adj[u].sort()
             acc = 0.0
-            for v, w in adj[u]:
+            for v, w in sorted(adj[u]):
                 acc += w
-                nbrs[pos] = v
-                cumw[pos] = acc
-                pos += 1
-            indptr[u + 1] = pos
-        return _frozen(indptr), _frozen(nbrs), _frozen(cumw)
+                nbrs.append(v)
+                cumw.append(acc)
+            indptr[u + 1] = len(nbrs)
+        return _frozen(indptr), _frozen(np.array(nbrs, np.int64)), _frozen(np.array(cumw))
 
     @cached_property
     def _search(self):
@@ -170,18 +153,26 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-def _shifted_laplacian(g: Graph, scale, shift):
-    """L / scale + shift as one new n x n array, filled entrywise from the
-    edge arrays and the degrees. Each entry takes the same float operations,
-    in the same order, as `g.laplacian / scale + shift`, so the bits match
-    without L or a temporary ever existing."""
-    u, v, w = g.edge_arrays
-    out = np.full((g.n, g.n), shift)
-    off = (-w) / scale + shift
-    out[u, v] = off
-    out[v, u] = off
-    np.fill_diagonal(out, g.degrees / scale + shift)
+def _edge_matrix(g: Graph, fill, edge, diag):
+    """A new n x n array holding `fill`, with edge k's `edge[k]` at (u_k, v_k)
+    and (v_k, u_k) and `diag` on the diagonal."""
+    u, v, _ = g.edge_arrays
+    out = np.full((g.n, g.n), fill)
+    out[u, v] = edge
+    out[v, u] = edge
+    np.fill_diagonal(out, diag)
     return out
+
+
+def _adjacency(g: Graph):
+    """A, with +0.0 off the edges: -L holds -0.0 there, and LAPACK's eigh reads the sign."""
+    return _edge_matrix(g, 0.0, g.edge_arrays[2], 0.0)
+
+
+def _shifted_laplacian(g: Graph, scale=1.0, shift=0.0):
+    """L / scale + shift, entrywise from the edge arrays and the degrees: the
+    bits of dividing and shifting L = D - A (the defaults) without L."""
+    return _edge_matrix(g, shift, (-g.edge_arrays[2]) / scale + shift, g.degrees / scale + shift)
 
 
 # -- construction ------------------------------------------------------
@@ -306,7 +297,8 @@ def shortest_path_distances(g: Graph) -> np.ndarray:
     """All-pairs geodesic distances, read-only; computed once per graph.
 
     Hop counts for unweighted graphs; weighted edges contribute length 1/w
-    (weights are affinities). Raises on disconnected input.
+    (weights are affinities). Raises on disconnected input, and on input
+    whose distances, or a node's sum of them, pass the float64 range.
     """
     return g._spd
 
@@ -314,12 +306,15 @@ def shortest_path_distances(g: Graph) -> np.ndarray:
 def _floyd_warshall(g: Graph) -> np.ndarray:
     """Floyd-Warshall, O(n^3): one whole-matrix numpy pass per pivot k."""
     require_connected(g, "shortest_path_distances")
-    a = g.adjacency
-    with np.errstate(divide="ignore"):
-        dist = np.where(a > 0, 1.0 / a, np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for k in range(g.n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    with np.errstate(over="ignore"):
+        dist = _edge_matrix(g, np.inf, 1.0 / g.edge_arrays[2], 0.0)
+        for k in range(g.n):
+            np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+        far = np.sum(dist, axis=1).max()  # lengths are >= 0: a sum is never NaN
+    if far == np.inf:
+        w = g.edge_arrays[2]
+        raise GraphError(f"geodesic distances overflow float64: a node's distances sum to "
+                         f"inf (edge weights span {w.min():.3g} to {w.max():.3g})")
     return dist
 
 

@@ -11,10 +11,10 @@ with M = C C^T and F = C^-T
 The scale s is the power of two nearest the mean degree Vol/n: it keeps the
 rank-one shift on the scale of L whatever the weight units, and dividing by
 a power of two is exact. M is filled entrywise from the edge arrays (the
-bits of `g.laplacian / s + 1/n`, without forming L), so the factorization
-holds three n x n arrays at its peak: M, LAPACK's working copy and the
-returned factor. C is inverted by block recursion (LAPACK inverses
-of diagonal blocks of at most `LEAF` rows, matrix products for the rest).
+bits of `L / s + 1/n` without forming L; here only `spectral_report` does),
+so the factorization holds three n x n arrays at its peak: M, LAPACK's
+working copy and the returned factor. C is inverted by block recursion (LAPACK
+inverses of diagonal blocks of at most `LEAF` rows, matrix products for the rest).
 The diagonal of L+, which is all C* and K need, comes from the row norms of
 F; the n x n L+ is formed only when a caller reads `SpectralBundle.lplus`.
 
@@ -68,10 +68,6 @@ class SpectralBundle:
     @property
     def n(self):
         return self.graph.n
-
-    @property
-    def laplacian(self):
-        return self.graph.laplacian
 
     @cached_property
     def diag(self):
@@ -187,7 +183,7 @@ def spectral_report(b: SpectralBundle) -> dict:
     rather than as rounding noise of either sign."""
     cstar = topological_centrality(b)
     k, kstar = kirchhoff_index(b)
-    evals = np.linalg.eigvalsh(b.laplacian)[::-1]
+    evals = np.linalg.eigvalsh(_shifted_laplacian(b.graph))[::-1]
     evals[-1] = 0.0
     diag = b.diag
     nodes = [

@@ -27,7 +27,8 @@ from . import _kernels
 from .electrical import _gauged_voltage, recurrence_overhead, voltages
 from .forests import (CENTER_RTOL, forest_census, lplus_diag_fractions, tree_center,
                       tree_centrality)
-from .graph import Graph, GraphError, format_edge_list, is_connected, shortest_path_distances
+from .graph import (Graph, GraphError, _adjacency, _shifted_laplacian, format_edge_list,
+                    is_connected, shortest_path_distances)
 from .spectral import (EPS, SpectralBundle, build_spectral, resistance_matrix,
                        topological_centrality)
 from .topology import (DOWN, FLAT, UP, abilene_topology, check_abilene_constraints,
@@ -229,10 +230,10 @@ class Check:
     check(cfg) of the same name; the function stays reachable as
     `check.residual` and `pool` (a Sweep, or a function of the seed listing
     fixed cases) as `check.sweep`. Without `agg` the function returns a Gap
-    or a tuple of Gaps; with agg=sum a violation count, and with agg=min a
+    or a tuple of Gaps; with agg=sum a violation count, and with agg=np.min a
     quantity that must stay positive. `detail` is formatted with the
     aggregate, or called with the (instance, value) records. A NaN value
-    fails under every agg."""
+    fails under every agg, and np.min carries it into the line."""
 
     name: str
     pool: Sweep | Callable
@@ -260,8 +261,8 @@ class Check:
         if self.agg is None:
             failed, numbers = _bounded(records)
         else:
-            summary = self.agg(v for _, v in records)
-            failed = [inst for inst, v in records if (not v > 0 if self.agg is min else v != 0)]
+            summary = self.agg([v for _, v in records])
+            failed = [inst for inst, v in records if (not v > 0 if self.agg is np.min else v != 0)]
         detail = self.detail(records) if callable(self.detail) else self.detail.format(summary)
         graphs = [g for g in (getattr(i, "graph", i) for i in failed) if isinstance(g, Graph)]
         return CheckResult(self.name, not failed, detail, failures=graphs, **numbers)
@@ -352,7 +353,7 @@ def check_current_law(g):
     return Gap(float(np.max(np.abs(net))), float(wt.max() * np.abs(v).max()), condition(b))
 
 
-@Check("recurrence-positive", Sweep(20, 3, 10), "min source visit count {:.6f} > 0", agg=min)
+@Check("recurrence-positive", Sweep(20, 3, 10), "min source visit count {:.6f} > 0", agg=np.min)
 def check_recurrence_positive(g):
     """U^{ij}_i > 0 on finite connected graphs."""
     b = build_spectral(g)
@@ -388,7 +389,8 @@ def check_spectral_consistency(g):
     L+ L L+ = L+; centering; the embedding's Gram matrix and squared norms;
     and the Kirchhoff gap |Tr(L+) - sum 1/lambda|, in that order."""
     b = build_spectral(g)
-    lap, lp, eig = b.laplacian, b.lplus, eigen_route(b.laplacian)
+    lap = _shifted_laplacian(g)
+    lp, eig = b.lplus, eigen_route(lap)
     emb, trace = eig.embedding, float(np.trace(lp))
     scale_l, scale_p = float(np.max(np.abs(lap))), float(np.max(np.abs(lp)))
 
@@ -496,7 +498,7 @@ def check_sc_series(g):
     """Spectral subgraph centrality equals the factorial series, summed for
     30 to 1000 terms, up to the first term whose diagonal is at most eps;
     the terms are nonnegative, so the rest of the tail is smaller."""
-    a = g.adjacency
+    a = _adjacency(g)
     term = np.eye(g.n)
     series = np.zeros(g.n)
     for k in range(1, 1001):
@@ -519,7 +521,7 @@ def randomwalk_betweenness_by_solves(g: Graph) -> np.ndarray:
     n = g.n
     if n < 3:
         return np.zeros(n)
-    red = g.laplacian[1:, 1:]
+    red = _shifted_laplacian(g)[1:, 1:]
     u, w, wt = g.edge_arrays
     rb = np.zeros(n)
     for s, t in combinations(range(n), 2):

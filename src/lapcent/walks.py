@@ -2,9 +2,9 @@
 seeded Monte Carlo estimator, and the dense-regime degree approximation.
 
 Walk transition probabilities are p_ik = a_ik / d(i). Exact hitting times
-come from the chain's fundamental matrix (one dense inverse), deliberately
-independent of L+, so the identities that `lapcent.verify` checks compare
-two independent routes rather than one route with itself.
+come from the chain's fundamental matrix (one dense inverse, of L / d + pi),
+deliberately independent of L+, so the identities that `lapcent.verify`
+checks compare two independent routes rather than one route with itself.
 The detour overhead reads the table at node ids or at index arrays, so a
 sweep over every triple is one array expression.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graph import Graph, GraphError, require_connected, require_nodes
+from .graph import Graph, GraphError, _shifted_laplacian, require_connected, require_nodes
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ def hitting_times_exact(g: Graph) -> HittingTable:
 
     With stationary distribution pi = d / Vol(G) and
     Z = (I - P + 1 pi^T)^-1 (Kemeny & Snell, Finite Markov Chains),
-    H[i, j] = (Z_jj - Z_ij) / pi_j, and H[j, j] is exactly 0.
+    H[i, j] = (Z_jj - Z_ij) / pi_j, and H[j, j] is exactly 0. I - P + 1 pi^T
+    is formed in place as L / d + pi: d/d is exactly 1 and (-w)/d = -(w/d).
     """
     require_connected(g, "hitting_times_exact")
     n = g.n
@@ -60,8 +61,12 @@ def hitting_times_exact(g: Graph) -> HittingTable:
         return HittingTable(H=np.zeros((1, 1)), C=np.zeros((1, 1)), vol=vol)
     d = g.degrees
     pi = d / vol
-    Z = np.linalg.inv(np.eye(n) - g.adjacency / d[:, None] + pi)
-    H = (np.diag(Z) - Z) / pi
+    m = _shifted_laplacian(g)
+    m /= d[:, None]
+    m += pi
+    Z = np.linalg.inv(m)
+    H = np.subtract(np.diag(Z), Z, out=m)  # m is read no more
+    H /= pi
     np.fill_diagonal(H, 0.0)
     return HittingTable(H=H, C=H + H.T, vol=vol)
 

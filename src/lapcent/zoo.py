@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, GraphError, require_connected, shortest_path_distances
+from .graph import Graph, GraphError, _adjacency, require_connected, shortest_path_distances
 from .spectral import (SpectralBundle, build_spectral, kirchhoff_index,
                        topological_centrality)
 
@@ -57,36 +57,37 @@ def geodesic_betweenness(g: Graph) -> np.ndarray:
     n = g.n
     eu, ev, ew = g.edge_arrays
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-    lengths = 1.0 / np.concatenate([ew, ew])
     slack = GEO_TIE_ULPS * n * np.finfo(np.float64).eps
     gb = np.zeros(n)
     block = max(1, BLOCK_CELLS // max(1, tails.size))
-    for lo in range(0, n, block):
-        d = spd[lo : lo + block]
-        src = np.arange(lo, lo + len(d))
-        gap = np.abs(d[:, tails] + lengths - d[:, heads])
-        rows, e = np.nonzero(gap <= slack * d[:, heads])
-        # flat (source, node) indices of each DAG edge's ends
-        tail, head = rows * n + tails[e], rows * n + heads[e]
-        cells = src.size * n
-        sigma = np.zeros(cells)
-        sigma[np.arange(src.size) * n + src] = 1.0
-        layer, z = sigma.copy(), np.zeros(cells)
-        # a shortest path has at most n - 1 hops
-        for _ in range(n - 1):
-            layer = np.bincount(head, weights=layer[tail], minlength=cells)
-            if not layer.any():
-                break
-            sigma += layer
-        layer = 1.0 / sigma
-        for _ in range(n - 1):
-            layer = np.bincount(tail, weights=layer[head], minlength=cells)
-            if not layer.any():
-                break
-            z += layer
-        delta = (sigma * z).reshape(src.size, n)
-        delta[np.arange(src.size), src] = 0.0
-        gb += delta.sum(axis=0)
+    with np.errstate(over="ignore"):  # a length or sum past float64 is on no shortest path
+        lengths = 1.0 / np.concatenate([ew, ew])
+        for lo in range(0, n, block):
+            d = spd[lo : lo + block]
+            src = np.arange(lo, lo + len(d))
+            gap = np.abs(d[:, tails] + lengths - d[:, heads])
+            rows, e = np.nonzero(gap <= slack * d[:, heads])
+            # flat (source, node) indices of each DAG edge's ends
+            tail, head = rows * n + tails[e], rows * n + heads[e]
+            cells = src.size * n
+            sigma = np.zeros(cells)
+            sigma[np.arange(src.size) * n + src] = 1.0
+            layer, z = sigma.copy(), np.zeros(cells)
+            # a shortest path has at most n - 1 hops
+            for _ in range(n - 1):
+                layer = np.bincount(head, weights=layer[tail], minlength=cells)
+                if not layer.any():
+                    break
+                sigma += layer
+            layer = 1.0 / sigma
+            for _ in range(n - 1):
+                layer = np.bincount(tail, weights=layer[head], minlength=cells)
+                if not layer.any():
+                    break
+                z += layer
+            delta = (sigma * z).reshape(src.size, n)
+            delta[np.arange(src.size), src] = 0.0
+            gb += delta.sum(axis=0)
     return gb / 2.0
 
 
@@ -97,7 +98,7 @@ def subgraph_centrality(g: Graph) -> np.ndarray:
     sum (hence the mean) are finite while lambda_max(A) <= log(DBL_MAX / n);
     a larger lambda_max(A) is refused with a GraphError.
     """
-    mu, vecs = np.linalg.eigh(g.adjacency)
+    mu, vecs = np.linalg.eigh(_adjacency(g))
     limit = LOG_DBL_MAX - math.log(g.n)
     if mu[-1] > limit:
         raise GraphError(f"subgraph centrality overflows float64: lambda_max(A) = "

@@ -71,12 +71,24 @@ def rel_gap(got, want):
 # -- brute-force oracles ------------------------------------------------
 
 
+def edge_loop(g):
+    """(A, degrees) by a loop over g.edges, independent of the package's
+    matrix builders; each degree sums its weights in edge order."""
+    a, d = np.zeros((g.n, g.n)), np.zeros(g.n)
+    for u, v, w in g.edges:
+        a[u, v] = a[v, u] = w
+        d[u] += w
+        d[v] += w
+    return a, d
+
+
 def fundamental_visits(g, i, j):
     """Expected visits to each node of the absorbed walk i -> j, from the
     fundamental matrix N = (I - Q)^-1 of the chain with j removed. The
     start position counts; arrival at j does not."""
     n = g.n
-    P = g.adjacency / g.degrees[:, None]
+    a, d = edge_loop(g)
+    P = a / d[:, None]
     keep = [k for k in range(n) if k != j]
     N = np.linalg.inv(np.eye(n - 1) - P[np.ix_(keep, keep)])
     out = np.zeros(n)

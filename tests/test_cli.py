@@ -5,14 +5,16 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lapcent import (Graph, SpectralBundle, abilene_topology, electrical, format_edge_list,
+from lapcent import (SpectralBundle, abilene_topology, electrical, format_edge_list, graph,
                      spectral, topology, verify, walks, zoo)
 from lapcent.cli import main
 
@@ -32,6 +34,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def watch_edge_matrix(monkeypatch, on_build):
+    """Call on_build(fill) before every dense matrix built from the edge
+    arrays: A and L (fill 0), L/s + J/n (fill 1/n) and the rest all come from
+    graph._edge_matrix, which is patched in every lapcent module bound to it."""
+    build = graph._edge_matrix
+
+    def watched(g, fill, edge, diag):
+        on_build(fill)
+        return build(g, fill, edge, diag)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lapcent" and getattr(module, "_edge_matrix", None) is build:
+            monkeypatch.setattr(module, "_edge_matrix", watched)
 
 
 class TestAnalyze:
@@ -111,14 +128,19 @@ class TestAnalyze:
         assert match in err and "edge weights span" in err
 
     def test_analyze_forms_neither_lplus_nor_adjacency(self, capsys, p3_file, monkeypatch):
+        # every dense matrix but L+ comes from graph._edge_matrix; record the
+        # fill of each: M = L/s + J/n fills 1/n, and both A and L fill 0
         def refuse(self):
             raise AssertionError("analyze formed an n x n matrix it does not need")
 
+        fills = []
         monkeypatch.setattr(SpectralBundle, "lplus", property(refuse))
-        monkeypatch.setattr(Graph, "adjacency", property(refuse))
-        for fmt in ((), ("--json",), ("--csv",)):
+        watch_edge_matrix(monkeypatch, fills.append)
+        for fmt, want in (((), [1 / 3]), (("--json",), [1 / 3, 0.0]), (("--csv",), [1 / 3])):
+            fills.clear()
             code, out, _ = run(capsys, "analyze", p3_file, *fmt)
             assert code == 0 and out
+            assert fills == want  # M, and L for the spectrum of --json alone
 
 
 def run_on_graph(text, *argv):
@@ -188,6 +210,10 @@ SUBNORMAL_DEGREE = "0 1 5e-324\n1 2 1e300\n"  # d(0) is subnormal; Vol(G) is fin
 TINY_PI = "0 1 1e-300\n1 2 1e300\n"  # d(0) is normal, but pi(0) = d(0) / Vol(G) underflows
 HITTING_02 = ["hitting", "{}", "-i", "0", "-j", "2"]
 PI_OF_NODE_0 = "stationary probability d/Vol(G) = {} of node 0 is below the float64 normal range; "
+INFINITE_LENGTH = "0 1 1\n1 2 1e-310\n"  # 1/w overflows: d(1, 2) is inf
+OVERFLOWING_PATH = "0 1 1e-308\n1 2 1e-308\n"  # lengths 1e308 are finite; d(0, 2) is not
+SHORTCUT = INFINITE_LENGTH + "0 2 1\n"  # every distance is finite, via node 0
+SPD_OVERFLOWS = "geodesic distances overflow float64: a node's distances sum to inf "
 
 
 @pytest.mark.parametrize("text, argv, message", [
@@ -201,23 +227,35 @@ PI_OF_NODE_0 = "stationary probability d/Vol(G) = {} of node 0 is below the floa
      PI_OF_NODE_0.format("4.94e-324/2e+300")),
     (TINY_PI, HITTING_02, PI_OF_NODE_0.format("1e-300/2e+300")),
     (TINY_PI, [*HITTING_02, "--method", "approx"], PI_OF_NODE_0.format("1e-300/2e+300")),
+    (INFINITE_LENGTH, ["export-dot", "{}", "--metric", "gb"], SPD_OVERFLOWS),
+    (INFINITE_LENGTH, ["export-dot", "{}", "--metric", "gc"], SPD_OVERFLOWS),
+    (OVERFLOWING_PATH, ["export-dot", "{}", "--metric", "gb"], SPD_OVERFLOWS),
+    (OVERFLOWING_PATH, ["compare", "{}"], SPD_OVERFLOWS),
 ], ids=["analyze", "hitting-exact", "hitting-approx", "sensitivity",
         "subnormal-hitting-exact", "subnormal-hitting-approx",
-        "tiny-pi-hitting-exact", "tiny-pi-hitting-approx"])
+        "tiny-pi-hitting-exact", "tiny-pi-hitting-approx",
+        "infinite-length-gb", "infinite-length-gc", "overflowing-path-gb",
+        "overflowing-path-compare"])
 def test_overflowing_volume_refused_with_one_line(text, argv, message):
     # used to print numpy RuntimeWarnings first, and then "Singular matrix"
-    # (exact) or a JSON error (approx) for hitting
+    # (exact) or a JSON error (approx) for hitting; export-dot gb and gc
+    # printed every node tied at exit 0, although node 1 carries the one
+    # pair on the path
     code, out, err = run_on_graph(text, *argv)
     assert refused_with_a_message(code, out, err)
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["hitting", "{}", "-i", "0", "-j", "1", "--method", "mc", "--runs", "100"],
-    ["export-dot", "{}", "--metric", "degree"],
-], ids=["hitting-mc", "export-dot-degree"])
-def test_overflowing_volume_leaves_commands_that_never_sum_it(argv):
-    code, out, err = run_on_graph(OVERFLOWING_VOLUME, *argv)
+@pytest.mark.parametrize("text, argv", [
+    (OVERFLOWING_VOLUME, ["hitting", "{}", "-i", "0", "-j", "1", "--method", "mc",
+                          "--runs", "100"]),
+    (OVERFLOWING_VOLUME, ["export-dot", "{}", "--metric", "degree"]),
+    (SHORTCUT, ["export-dot", "{}", "--metric", "gb"]),
+    (SHORTCUT, ["export-dot", "{}", "--metric", "gc"]),
+], ids=["hitting-mc", "export-dot-degree", "shortcut-gb", "shortcut-gc"])
+def test_overflowing_volume_leaves_commands_that_never_sum_it(text, argv):
+    # on the shortcut every distance is finite, but gb's 1/w used to warn
+    code, out, err = run_on_graph(text, *argv)
     assert not refused_with_a_message(code, out, err)
 
 
@@ -463,6 +501,18 @@ class TestVerify:
         (res,) = verify.run_checks(verify.VerifyConfig(), only=name)
         assert not res.passed, res.line()
 
+    def test_min_line_names_a_nan_that_is_not_first(self, monkeypatch):
+        # the builtin min dropped it: "FAIL ... min source visit count 1.000000 > 0"
+        calls = []
+
+        def fifth_nan(g):
+            calls.append(g)
+            return nan_lplus(g) if len(calls) == 5 else spectral.build_spectral(g)
+
+        monkeypatch.setattr(verify, "build_spectral", fifth_nan)
+        (res,) = verify.run_checks(verify.VerifyConfig(), only="recurrence-positive")
+        assert res.line() == "FAIL recurrence-positive: min source visit count nan > 0"
+
     def test_shared_pools_compute_each_route_once(self, monkeypatch):
         # detour-average and commute-resistance share 100 graphs, and
         # commute-rowsum and cstar-commute-rank share 50; each drew its own
@@ -695,18 +745,53 @@ def test_analyze_output_bytes(capsys, tmp_path, flags):
     assert sha256(out) == ANALYZE_RING300_PINS[flags]
 
 
+# tracemalloc peak of a second call (the first fills module caches) on the
+# ring300 graph, in units of 8 n^2 bytes; sensitivity compares an unweighted
+# ring-chords graph with itself. Each pin sits between the peak with the
+# adjacency and Laplacian cached on the graph and the peak without them.
+MEMORY_PINS = {
+    "hitting": (("hitting", "{w}", "-i", "0", "-j", "1"), 3.8),  # 4.32 -> 3.32
+    "compare": (("compare", "{w}"), 19.8),  # 20.33 -> 19.33
+    "sensitivity": (("sensitivity", "{u}", "{u}", "--json"), 23.0),  # 23.98 -> 21.98
+    "export-dot-gb": (("export-dot", "{w}", "--metric", "gb"), 19.8),  # 20.29 -> 19.29
+    "export-dot-sc": (("export-dot", "{w}", "--metric", "sc"), 2.75),  # 3.25 -> 2.25
+}
+
+
+@pytest.mark.parametrize("name", list(MEMORY_PINS))
+def test_peak_memory(capsys, tmp_path, name):
+    n, (argv, pin) = 300, MEMORY_PINS[name]
+    unweighted = tmp_path / "u.el"
+    unweighted.write_text(format_edge_list(
+        ring_chords(np.random.default_rng(300), n, lambda rng, m: np.ones(m))))
+    paths = {"w": write_pinned_graph(tmp_path, "ring300"), "u": str(unweighted)}
+    argv = [a.format(**paths) for a in argv]
+    assert run(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= pin * 8 * n * n
+
+
 def test_analyze_text_and_csv_never_form_the_laplacian(capsys, preset_files, monkeypatch):
     # build_spectral factors L/s + J/n assembled from the edge arrays; only
-    # the spectrum of --json needs L itself
-    def refuse(self):
-        raise AssertionError("Graph.laplacian formed")
+    # the spectrum of --json needs L itself. A and L are the matrices the
+    # builder fills with 0 (L/s + J/n fills 1/n)
+    def refuse_zero_fill(fill):
+        if fill == 0.0:
+            raise AssertionError("A or L formed")
 
-    monkeypatch.setattr(Graph, "laplacian", property(refuse))
+    watch_edge_matrix(monkeypatch, refuse_zero_fill)
     for argv in (("analyze",), ("analyze", "--csv")):
         code, out, _ = run(capsys, argv[0], preset_files["preset"], *argv[1:])
         assert code == 0
         assert sha256(out) == PRESET_PINS[argv]
-    with pytest.raises(AssertionError, match="Graph.laplacian formed"):
+    with pytest.raises(AssertionError, match="A or L formed"):
         run(capsys, "analyze", preset_files["preset"], "--json")
 
 

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from lapcent import (DisconnectedError, EdgeListError, Graph, GraphError,
                      components, degree_sequence, format_edge_list, is_connected,
                      parse_edge_list, rewire, shortest_path_distances)
+from lapcent.graph import _adjacency, _shifted_laplacian
 
-from helpers import complete_graph, path_graph, random_connected
+from helpers import complete_graph, edge_loop, path_graph, random_connected
 
 
 class TestParse:
@@ -92,10 +93,11 @@ class TestParse:
 class TestGraphInvariants:
     def test_adjacency_symmetric_zero_diagonal(self):
         g = Graph(3, [(0, 1, 2.0), (1, 2, 0.5)])
-        a = g.adjacency
-        assert np.array_equal(a, a.T)
+        a = _adjacency(g)
+        assert np.array_equal(a, a.T) and np.array_equal(a, edge_loop(g)[0])
         assert np.all(np.diag(a) == 0)
         assert a[0, 1] == 2.0 and a[2, 0] == 0.0
+        assert not np.signbit(a).any()  # -0.0 would change eigh's bits
 
     def test_rejects_self_loop_and_duplicates(self):
         with pytest.raises(GraphError):
@@ -237,13 +239,11 @@ def test_spd_is_a_metric(g):
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(weighted=True))
 def test_derived_views_match_edge_loop(g):
-    """Every view equals a per-edge reference loop exactly and is read-only."""
-    a, d = np.zeros((g.n, g.n)), np.zeros(g.n)
+    """Every view and each matrix builder equals a per-edge reference loop
+    exactly; the views are read-only, and the adjacency holds no -0.0."""
+    a, d = edge_loop(g)
     nbrs = [[] for _ in range(g.n)]
     for u, v, w in g.edges:
-        a[u, v] = a[v, u] = w
-        d[u] += w
-        d[v] += w
         nbrs[u].append((v, w))
         nbrs[v].append((u, w))
     indptr, flat, cumw = [0], [], []
@@ -254,15 +254,15 @@ def test_derived_views_match_edge_loop(g):
             flat.append(v)
             cumw.append(acc)
         indptr.append(len(flat))
-    expected = {"adjacency": a, "degrees": d, "laplacian": np.diag(d) - a}
-    views = {name: getattr(g, name) for name in expected}
-    for name, want in expected.items():
-        assert np.array_equal(views[name], want), name
+    adjacency = _adjacency(g)
+    assert np.array_equal(adjacency, a) and not np.signbit(adjacency).any()
+    assert np.array_equal(_shifted_laplacian(g), np.diag(d) - a)
+    assert np.array_equal(g.degrees, d)
     for got, want in zip(g.csr(), (indptr, flat, cumw)):
         assert np.array_equal(got, want)
     for got, want in zip(g.edge_arrays, zip(*g.edges)):
         assert np.array_equal(got, want)
-    for arr in (*views.values(), *g.csr(), *g.edge_arrays):
+    for arr in (g.degrees, *g.csr(), *g.edge_arrays):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]

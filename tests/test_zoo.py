@@ -12,7 +12,7 @@ from lapcent import graph, zoo
 from lapcent.graph import GraphError
 from lapcent.verify import randomwalk_betweenness_by_solves
 
-from helpers import (complete_graph, cycle_graph, path_graph,
+from helpers import (complete_graph, cycle_graph, edge_loop, path_graph,
                      random_connected, rel_gap, star_graph)
 
 
@@ -57,6 +57,12 @@ class TestGeodesicBetweenness:
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1 / (2 + 1e-5)), (0, 3, 1e-8)])
         assert geodesic_betweenness(g).tolist() == [2.0, 2.0, 0.0, 0.0]
 
+    def test_edge_too_long_for_float64_is_on_no_shortest_path(self):
+        # 1/w overflows to inf on edge (1, 2); the pair routes through node 0
+        g = Graph(3, [(0, 1, 1.0), (1, 2, 1e-310), (0, 2, 1.0)])
+        assert geodesic_betweenness(g).tolist() == [1.0, 0.0, 0.0]
+        assert geodesic_closeness(g).tolist() == [1.0, 2 / 3, 2 / 3]
+
 
 def test_gc_then_gb_run_floyd_warshall_once(monkeypatch):
     runs = []
@@ -87,6 +93,16 @@ def test_report_computes_each_index_once():
         assert getattr(rep, name) is first
 
 
+def test_graph_keeps_no_matrix_but_its_distances():
+    # the adjacency and the Laplacian were cached on the graph for its lifetime
+    g = random_connected(np.random.default_rng(5), 9, weighted=True)
+    rep = centrality_report(g)
+    for name in (*rep.PER_NODE, "kirchhoff", "kstar", "randic"):
+        getattr(rep, name)
+    kept = [k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert kept == ["_spd"]
+
+
 class TestSubgraphCentrality:
     def test_k3_eigenvalue_form(self):
         sc = subgraph_centrality(complete_graph(3))
@@ -107,7 +123,7 @@ class TestSubgraphCentrality:
         rng = np.random.default_rng(0)
         for _ in range(10):
             g = random_connected(rng, int(rng.integers(2, 11)))
-            a = g.adjacency
+            a = edge_loop(g)[0]
             term = np.eye(g.n)
             series = np.ones(g.n)
             for k in range(1, 31):
