@@ -30,7 +30,7 @@ _EXPORTS = {
             "randomwalk_betweenness", "subgraph_centrality"),
     "topology": ("ABILENE_PRESET", "ConstraintError", "SensitivityReport", "TopologySpec",
                  "export_dot", "gen_core_gateway", "abilene_topology", "pert_preset",
-                 "sensitivity_report"),
+                 "graph_descriptors", "sensitivity_report"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

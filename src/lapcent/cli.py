@@ -151,12 +151,16 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    from .graph import load_edge_list
-    from .topology import sensitivity_report
+    from .graph import GraphError, load_edge_list
+    from .topology import graph_descriptors, sensitivity_report
 
     before = load_edge_list(args.before)
     after = load_edge_list(args.after)
-    rep = sensitivity_report(before, after)
+    if before.n != after.n:
+        raise GraphError(f"graphs differ in size ({before.n} vs {after.n} nodes)")
+    described = graph_descriptors(before)
+    del before  # its distances are freed before the second graph's are computed
+    rep = sensitivity_report(described, graph_descriptors(after))
     if args.json:
         _dump_json(rep.to_dict(), args.output)
     else:

@@ -19,7 +19,7 @@ The diagonal of L+, which is all C* and K need, comes from the row norms of
 F; the n x n L+ is formed only when a caller reads `SpectralBundle.lplus`.
 
 Every bundle carries an a-posteriori certificate
-rho = n eps max(2 d_max, s) (Tr(L+) + 1/s). Gershgorin gives
+rho = n eps (a Tr(L+) + a/s) with a = max(2 d_max, s). Gershgorin gives
 lambda_max <= 2 d_max and Tr(L+) >= 1/lambda_2, so rho / (n eps) bounds the
 condition number of M from above, and the error of the Cholesky inverse
 grows as that condition number times eps (Higham, *Accuracy and Stability
@@ -116,10 +116,11 @@ def _shift_scale(mean_degree):
 
 
 def certificate(b: SpectralBundle) -> float:
-    """rho = n eps max(2 d_max, s) (Tr(L+) + 1/s), which is n eps times an
-    upper bound on the condition number of L/s + J/n."""
+    """rho = n eps (a Tr(L+) + a/s) with a = max(2 d_max, s): n eps times an
+    upper bound on cond(L/s + J/n), distributed so that a tiny s overflows no factor."""
     s = b.scale
-    return b.n * EPS * max(2.0 * float(b.graph.degrees.max()), s) * (float(b.diag.sum()) + 1.0 / s)
+    a = max(2.0 * float(b.graph.degrees.max()), s)
+    return b.n * EPS * (a * float(b.diag.sum()) + a / s)
 
 
 def _unresolved(g: Graph, why: str) -> GraphError:
@@ -166,14 +167,14 @@ def kirchhoff_index(b: SpectralBundle):
     return k, 1.0 / k
 
 
-def effective_resistance(b: SpectralBundle, i: int, j: int) -> float:
-    """Resistance distance l+_ii + l+_jj - 2 l+_ij."""
-    return float(b.diag[i] + b.diag[j] - 2.0 * b.lplus[i, j])
+def effective_resistance(b: SpectralBundle, i, j):
+    """Resistance distance l+_ii + l+_jj - 2 l+_ij; index arrays broadcast."""
+    return b.diag[i] + b.diag[j] - 2.0 * b.lplus[i, j]
 
 
 def resistance_matrix(b: SpectralBundle) -> np.ndarray:
-    d = b.diag
-    return d[:, None] + d[None, :] - 2.0 * b.lplus
+    """Omega: effective_resistance over every pair."""
+    return effective_resistance(b, *np.ix_(range(b.n), range(b.n)))
 
 
 def spectral_report(b: SpectralBundle) -> dict:

@@ -1,6 +1,6 @@
 """Synthetic core/gateway topologies, the two degree-preserving rewiring
-presets used for sensitivity studies, before/after sensitivity reports, and
-DOT rendering.
+presets used for sensitivity studies, the descriptors of one graph and the
+sensitivity report that compares two such descriptions, and DOT rendering.
 
 The bundled 65-node "abilene" preset mimics an Abilene-style backbone: a
 small ring core through which everything interconnects, ten gateway nodes
@@ -194,24 +194,18 @@ def _direction(delta: float) -> str:
     return UP if delta > 0 else DOWN
 
 
-def sensitivity_report(before: Graph, after: Graph) -> SensitivityReport:
-    """Relative descriptor changes (after - before) / before with direction
-    arrows."""
-    if before.n != after.n:
-        raise GraphError(
-            f"graphs differ in size ({before.n} vs {after.n} nodes)"
-        )
-    db = graph_descriptors(before)
-    da = graph_descriptors(after)
+def sensitivity_report(before: dict, after: dict) -> SensitivityReport:
+    """Relative changes (after - before) / before, with direction arrows, of
+    two `graph_descriptors` results; it describes no graph and refuses none."""
     deltas = {}
-    for key in db:
-        base, new = db[key], da[key]
+    for key, base in before.items():
+        new = after[key]
         if base == 0.0:
             deltas[key] = 0.0 if new == 0.0 else math.copysign(math.inf, new - base)
         else:
             deltas[key] = (new - base) / base
     directions = {key: _direction(d) for key, d in deltas.items()}
-    return SensitivityReport(before=db, after=da, deltas=deltas, directions=directions)
+    return SensitivityReport(before=before, after=after, deltas=deltas, directions=directions)
 
 
 # -- rendering -----------------------------------------------------------

@@ -32,7 +32,7 @@ from .graph import (Graph, GraphError, _adjacency, _shifted_laplacian, format_ed
 from .spectral import (EPS, SpectralBundle, build_spectral, resistance_matrix,
                        topological_centrality)
 from .topology import (DOWN, FLAT, UP, abilene_topology, check_abilene_constraints,
-                       pert_preset, sensitivity_report)
+                       graph_descriptors, pert_preset, sensitivity_report)
 from .walks import (HittingTable, average_detour_overhead, detour_overhead,
                     estimate_hitting_mc, estimate_visits_mc, hitting_times_exact,
                     simulate_hitting_steps)
@@ -664,10 +664,10 @@ def _comparisons(seed):
     """(name, n, report) of both rewiring presets, and of the preset itself."""
     g0 = abilene_topology()
     g1 = pert_preset(g0, "pert1")
-    g2 = pert_preset(g1, "pert2")
-    return [("pert1", g0.n, sensitivity_report(g0, g1)),
-            ("pert2", g1.n, sensitivity_report(g1, g2)),
-            ("self", g0.n, sensitivity_report(g0, g0))]
+    d0, d1, d2 = map(graph_descriptors, (g0, g1, pert_preset(g1, "pert2")))
+    return [("pert1", g0.n, sensitivity_report(d0, d1)),
+            ("pert2", g1.n, sensitivity_report(d1, d2)),
+            ("self", g0.n, sensitivity_report(d0, d0))]
 
 
 def _sensitivity_detail(records):

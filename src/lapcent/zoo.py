@@ -48,7 +48,8 @@ def geodesic_betweenness(g: Graph) -> np.ndarray:
     Brandes' dependency accumulation for a block of sources at once.
     Directed edge u->v lies on a shortest path from s when
     spd[s,u] + 1/w = spd[s,v] within GEO_TIE_ULPS * n * eps * spd[s,v], the
-    rounding a sum of up to n lengths can carry. Path counts
+    rounding a sum of up to n lengths can carry; the test fills two block
+    arrays in place, which are freed before the path counts start. Path counts
     sigma grow one hop layer of every source's shortest-path DAG per pass;
     the backward passes push 1/sigma the other way, so that sigma times
     their sum is the dependency of s on each node.
@@ -65,8 +66,13 @@ def geodesic_betweenness(g: Graph) -> np.ndarray:
         for lo in range(0, n, block):
             d = spd[lo : lo + block]
             src = np.arange(lo, lo + len(d))
-            gap = np.abs(d[:, tails] + lengths - d[:, heads])
-            rows, e = np.nonzero(gap <= slack * d[:, heads])
+            gap, near = d[:, tails], d[:, heads]
+            gap += lengths
+            gap -= near
+            np.abs(gap, out=gap)
+            near *= slack
+            rows, e = np.nonzero(gap <= near)
+            del gap, near
             # flat (source, node) indices of each DAG edge's ends
             tail, head = rows * n + tails[e], rows * n + heads[e]
             cells = src.size * n

@@ -146,6 +146,17 @@ class TestResistance:
         assert effective_resistance(build_spectral(path_graph(4)), 0, 3) \
             == pytest.approx(3.0)
 
+    def test_index_arrays_broadcast_through_the_one_formula(self):
+        b = build_spectral(random_connected(np.random.default_rng(14), 8, weighted=True))
+        i, j = np.array([0, 3, 5]), np.array([[1], [7]])
+        omega = effective_resistance(b, i, j)
+        assert omega.shape == (2, 3)
+        assert all(omega[r, c] == effective_resistance(b, i[c], j[r, 0])
+                   for r in range(2) for c in range(3))
+        assert type(effective_resistance(b, 0, 1)) is np.float64
+        nodes = np.arange(8)
+        assert np.array_equal(resistance_matrix(b), effective_resistance(b, nodes[:, None], nodes))
+
     def test_symmetry_nonnegativity_zero_diagonal(self):
         rng = np.random.default_rng(10)
         g = random_connected(rng, 9, weighted=True)
@@ -287,7 +298,7 @@ class TestCertificate:
     @pytest.mark.parametrize("g, match", [
         (_p3(1.0, 1e-14), r"rho = 0\.0886 exceeds 0\.001 \(edge weights span 1e-14 to 1\)"),
         (_p3(1.0, 1e-17), r"rho = 18 exceeds"),
-        (Graph(2, [(0, 1, 1e-310)]), r"rho = nan is not finite"),
+        (Graph(2, [(0, 1, 1e-310)]), r"rho = inf is not finite"),  # l+_ii overflows
     ], ids=["p3-1e-14", "p3-1e-17", "subnormal"])
     def test_refused(self, g, match):
         with warnings.catch_warnings():

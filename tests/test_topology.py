@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -159,10 +160,16 @@ def chain(preset):
     return preset, g1, g2
 
 
+@pytest.fixture(scope="module")
+def described(chain):
+    """graph_descriptors of the preset, pert1 and pert2, one call each."""
+    return [graph_descriptors(g) for g in chain]
+
+
 class TestSensitivity:
-    def test_pert1_directions(self, chain):
-        g0, g1, _ = chain
-        rep = sensitivity_report(g0, g1)
+    def test_pert1_directions(self, described):
+        d0, d1, _ = described
+        rep = sensitivity_report(d0, d1)
         assert rep.directions["kstar"] == DOWN
         assert rep.directions["randic"] == UP
         assert rep.directions["gc_mean"] == DOWN
@@ -170,9 +177,9 @@ class TestSensitivity:
         assert rep.directions["gb_mean"] == UP
         assert rep.directions["rb_mean"] == UP
 
-    def test_pert2_directions(self, chain):
-        _, g1, g2 = chain
-        rep = sensitivity_report(g1, g2)
+    def test_pert2_directions(self, described):
+        _, d1, d2 = described
+        rep = sensitivity_report(d1, d2)
         assert rep.directions["kstar"] == UP
         assert rep.directions["randic"] == FLAT
         assert rep.deltas["randic"] == 0.0
@@ -181,18 +188,22 @@ class TestSensitivity:
         assert rep.directions["gb_mean"] == DOWN
         assert rep.directions["rb_mean"] == UP
 
-    def test_identical_graphs_all_flat(self, preset):
-        rep = sensitivity_report(preset, preset)
+    def test_identical_graphs_all_flat(self, described):
+        rep = sensitivity_report(described[0], described[0])
         assert all(v == FLAT for v in rep.directions.values())
         assert all(d == 0.0 for d in rep.deltas.values())
 
-    def test_size_mismatch(self, preset):
-        with pytest.raises(GraphError):
-            sensitivity_report(preset, path_graph(3))
+    def test_compares_descriptions_without_a_graph(self):
+        # a pure comparison: it describes no graph, so it needs none and
+        # refuses no size; the caller keeps the descriptions it passed
+        before, after = {"k": 2.0, "z": 0.0, "same": 0.0}, {"k": 3.0, "z": -1.0, "same": 0.0}
+        rep = sensitivity_report(before, after)
+        assert rep.before is before and rep.after is after
+        assert rep.deltas == {"k": 0.5, "z": -math.inf, "same": 0.0}
+        assert rep.directions == {"k": UP, "z": DOWN, "same": FLAT}
 
-    def test_to_dict_schema(self, chain):
-        g0, g1, _ = chain
-        d = sensitivity_report(g0, g1).to_dict()
+    def test_to_dict_schema(self, described):
+        d = sensitivity_report(*described[:2]).to_dict()
         assert set(d) == {"before", "after", "deltas", "directions"}
         assert set(d["deltas"]) == set(d["before"])
 
