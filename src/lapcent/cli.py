@@ -131,7 +131,10 @@ def cmd_gen(args) -> int:
     if args.preset == "abilene":
         g = abilene_topology()
     else:
-        sizes = tuple(int(x) for x in args.subnets.split(",")) if args.subnets else ()
+        try:
+            sizes = tuple(int(x) for x in args.subnets.split(",")) if args.subnets else ()
+        except ValueError:
+            raise ValueError(f"--subnets must be comma-separated integers, got {args.subnets!r}")
         core = ABILENE_PRESET.core_size if args.core is None else args.core
         gateways = ABILENE_PRESET.gateway_count if args.gateways is None else args.gateways
         spec = TopologySpec(core_size=core, gateway_count=gateways, subnet_sizes=sizes)

@@ -124,7 +124,7 @@ class BiPartition:
 
 def _neighbor_masks(g: Graph):
     masks = [0] * g.n
-    for u, v, _ in g.edges:
+    for u, v in zip(*(a.tolist() for a in g.edge_arrays[:2])):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
@@ -184,9 +184,9 @@ def enumerate_bipartitions(g: Graph):
     Requires a connected graph and n <= MAX_ENUM_NODES.
     """
     out = []
+    pairs = list(zip(*(a.tolist() for a in g.edge_arrays[:2])))
     for smask, s_nodes, c_nodes, trees_s, trees_c in _splits(g, "enumerate_bipartitions"):
-        cut = tuple((u, v) for u, v, _ in g.edges
-                    if ((smask >> u) & 1) != ((smask >> v) & 1))
+        cut = tuple((u, v) for u, v in pairs if ((smask >> u) & 1) != ((smask >> v) & 1))
         out.append(BiPartition(s_nodes=tuple(s_nodes), sprime_nodes=tuple(c_nodes), cut=cut,
                                trees_s=trees_s, trees_sprime=trees_c))
     return out

@@ -4,20 +4,20 @@ Edge weights are affinities: larger weight means the endpoints are closer.
 Geodesic computations therefore use 1/w as the length of an edge; unweighted
 graphs (all weights 1.0) fall back to plain hop counts.
 
-`Graph` is the one place that applies the edge rules and the one owner of
-the views derived from its edges (edge arrays, degrees, volume, CSR,
-breadth-first search, geodesic distances): each is computed on first use,
-cached and returned read-only. The one search serves the components and the
-rooting of a tree (`lapcent.forests`). The distances are the only n x n
-view kept; every other dense matrix is built by `_edge_matrix` in the
-routine that reads it.
+`Graph` is the one place that applies the edge rules. It stores its edges
+once, as read-only arrays, and owns the views derived from them (degrees,
+volume, CSR, breadth-first search, geodesic distances): each is computed on
+first use, cached and returned read-only. The one search serves the
+components and the rooting of a tree (`lapcent.forests`). The distances are
+the only n x n view kept; every other dense matrix is built by
+`_edge_matrix` in the routine that reads it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -52,18 +52,20 @@ class Graph:
     """Immutable simple graph: no self-loops, no parallel edges, finite weights > 0.
 
     Node ids are the dense range 0..n-1 and are the only node names: reports
-    print the id wherever they have a label field.
+    print the id wherever they have a label field. The stored record is
+    `edge_arrays`, (u, v, w) with u < v, sorted by (u, v): int64 ends and
+    float64 weights. `edges` builds the same (u, v, w) tuples on each read.
     """
 
     def __init__(self, n, edges):
         if n < 1:
             raise GraphError("graph needs at least one node")
-        seen = set()
-        canon = []
+        kept = {}  # min(u, v) * n + max(u, v) -> w, for each accepted edge
         for idx, e in enumerate(edges):
-            u, v, w = (*e, 1.0) if len(e) == 2 else e
-            u, v, w = int(u), int(v), float(w)
-            key = (u, v) if u < v else (v, u)
+            u0, v0, w = (*e, 1.0) if len(e) == 2 else e
+            u, v, w = int(u0), int(v0), float(w)
+            if u != u0 or v != v0:
+                raise GraphError(f"non-integer node id in edge ({u0},{v0})", edge=idx)
             if u == v:
                 raise GraphError(f"self-loop at node {u}", edge=idx)
             if not (0 <= u < n and 0 <= v < n):
@@ -72,26 +74,25 @@ class Graph:
             if not math.isfinite(w) or w <= 0:
                 raise GraphError(f"weight {w} on edge ({u},{v}) must be positive and finite",
                                  edge=idx)
-            if key in seen:
+            key = u * n + v if u < v else v * n + u
+            if key in kept:
                 raise GraphError(f"duplicate edge ({u},{v})", edge=idx)
-            seen.add(key)
-            canon.append((*key, w))
-        canon.sort()
+            kept[key] = w
+        keys = sorted(kept)
+        u, v = np.divmod(np.array(keys, np.int64), n)
         self.n = n
-        self.edges = tuple(canon)
+        self.edge_arrays = tuple(_frozen(a) for a in (u, v, np.array([kept[k] for k in keys])))
+
+    @property
+    def edges(self):
+        """The edges as (u, v, w) tuples in edge order, built from the arrays on each read."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     # -- derived views -------------------------------------------------
 
     @property
     def m(self):
-        return len(self.edges)
-
-    @cached_property
-    def edge_arrays(self):
-        """Endpoints and weights of the edges, in edge order, as arrays (u, v, w)."""
-        cols = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
-        return (_frozen(cols[:, 0].astype(np.int64)), _frozen(cols[:, 1].astype(np.int64)),
-                _frozen(cols[:, 2]))
+        return len(self.edge_arrays[2])
 
     @cached_property
     def degrees(self):
@@ -108,7 +109,7 @@ class Graph:
 
     @cached_property
     def unweighted(self):
-        return all(w == 1.0 for _, _, w in self.edges)
+        return bool(np.all(self.edge_arrays[2] == 1.0))
 
     def csr(self):
         """(indptr, neighbors, cumweights) with neighbors sorted per node.
@@ -120,20 +121,15 @@ class Graph:
 
     @cached_property
     def _csr(self):
-        adj = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+        # a stable sort by node keeps edge order: lower neighbours, then upper, each ascending
+        u, v, w = self.edge_arrays
+        owner = np.concatenate([v, u])  # the node each doubled edge entry is listed under
+        order = np.argsort(owner, kind="stable")
         indptr = np.zeros(self.n + 1, np.int64)
-        nbrs, cumw = [], []
-        for u in range(self.n):
-            acc = 0.0
-            for v, w in sorted(adj[u]):
-                acc += w
-                nbrs.append(v)
-                cumw.append(acc)
-            indptr[u + 1] = len(nbrs)
-        return _frozen(indptr), _frozen(np.array(nbrs, np.int64)), _frozen(np.array(cumw))
+        np.cumsum(np.bincount(owner, minlength=self.n), out=indptr[1:])
+        ws = np.concatenate([w, w])[order].tolist()
+        cumw = [c for a, b in pairwise(indptr.tolist()) for c in accumulate(ws[a:b])]
+        return _frozen(indptr), _frozen(np.concatenate([u, v])[order]), _frozen(np.array(cumw))
 
     @cached_property
     def _search(self):
@@ -144,9 +140,9 @@ class Graph:
         return _frozen(_floyd_warshall(self))
 
     def has_edge(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        i = bisect_left(self.edges, key)
-        return i < self.m and self.edges[i][:2] == key
+        a, b = (u, v) if u < v else (v, u)
+        lo, hi = self.edge_arrays[0].searchsorted([a, a + 1])
+        return bool(b in self.edge_arrays[1][lo:hi])
 
     def __repr__(self):
         kind = "unweighted" if self.unweighted else "weighted"
@@ -181,13 +177,13 @@ def _shifted_laplacian(g: Graph, scale=1.0, shift=0.0):
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v [w]" lines into a Graph.
 
-    Lines may carry "#" comments; blank lines are skipped; LF and CRLF both
-    work. Node ids must be the dense range 0..n-1. A malformed line, or an
-    edge that Graph rejects (self-loop, weight that is not positive and
+    Lines end only at LF, CRLF or a lone CR; "#" starts a comment; blank lines
+    are skipped. Node ids must be the dense range 0..n-1. A malformed line, or
+    an edge that Graph rejects (self-loop, weight that is not positive and
     finite, duplicate), rejects the whole input with its line number.
     """
     edges, lines = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -237,7 +233,8 @@ def format_edge_list(g: Graph) -> str:
 
 
 def load_edge_list(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
+    """Parse the file at `path`; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_edge_list(fh.read())
 
 

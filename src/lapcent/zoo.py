@@ -142,8 +142,8 @@ def randomwalk_betweenness(b: SpectralBundle) -> np.ndarray:
 
 def randic_index(g: Graph) -> float:
     """Sum over edges of the endpoint degree products."""
-    d = g.degrees
-    return float(sum(d[u] * d[v] for u, v, _ in g.edges))
+    d, (eu, ev, _) = g.degrees, g.edge_arrays
+    return float(sum(d[u] * d[v] for u, v in zip(eu.tolist(), ev.tolist())))
 
 
 def max_normalized(values: np.ndarray) -> np.ndarray:

@@ -127,12 +127,12 @@ def brute_two_tree_forests(g):
     Yields frozensets of the two component node sets. Independent of the
     package's bipartition/Matrix-Tree machinery.
     """
-    n = g.n
+    n, edges = g.n, g.edges  # g.edges builds its tuples on each read
     for sub in combinations(range(g.m), n - 2):
         uf = _UnionFind(n)
         ok = True
         for ei in sub:
-            u, v, _ = g.edges[ei]
+            u, v, _ = edges[ei]
             if not uf.union(u, v):
                 ok = False
                 break
@@ -162,10 +162,10 @@ def brute_forest_census(g):
 
 def brute_spanning_tree_count(g):
     """Count spanning trees by enumerating (n-1)-edge subsets."""
-    n = g.n
+    n, edges = g.n, g.edges
     count = 0
     for sub in combinations(range(g.m), n - 1):
         uf = _UnionFind(n)
-        if all(uf.union(*g.edges[ei][:2]) for ei in sub):
+        if all(uf.union(*edges[ei][:2]) for ei in sub):
             count += 1
     return count

@@ -74,6 +74,14 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
+    def test_byte_order_mark_is_skipped(self, capsys, p3_file, tmp_path):
+        # Windows Notepad starts a UTF-8 file with one
+        marked = tmp_path / "bom.el"
+        marked.write_bytes(b"\xef\xbb\xbf" + P3.encode())
+        plain = run(capsys, "analyze", p3_file)
+        assert plain[0] == 0
+        assert run(capsys, "analyze", str(marked)) == plain
+
     def test_sparse_ids_exit_2(self, capsys, tmp_path):
         sparse = tmp_path / "sparse.el"
         sparse.write_text("0 1\n1 3000000\n")
@@ -582,6 +590,12 @@ class TestTopologyCommands:
         assert code == 2 and out == ""
         assert err == f"error: {opt} conflicts with --preset abilene\n"
 
+    @pytest.mark.parametrize("value", ["3,x", "3,,4"])
+    def test_gen_subnets_must_be_integers(self, capsys, value):
+        code, out, err = run(capsys, "gen", "--core", "1", "--gateways", "2", "--subnets", value)
+        assert code == 2 and out == ""
+        assert err == f"error: --subnets must be comma-separated integers, got {value!r}\n"
+
     def test_gen_custom_requires_subnets(self, capsys):
         code, _, err = run(capsys, "gen")
         assert code == 2
@@ -859,6 +873,24 @@ def test_analyze_text_and_csv_skip_the_spectrum(capsys, preset_files, monkeypatc
         assert sha256(out) == PRESET_PINS[argv]
     with pytest.raises(AssertionError, match="eigvalsh called"):
         run(capsys, "analyze", preset_files["preset"], "--json")
+
+
+def test_numeric_commands_never_read_the_edge_tuples(capsys, preset_files, monkeypatch):
+    # Graph stores its edge arrays; g.edges builds (u, v, w) tuples from them
+    # on each read, for the text writers and rewire alone
+    def refuse(self):
+        raise AssertionError("Graph.edges read")
+
+    monkeypatch.setattr(graph.Graph, "edges", property(refuse))
+    for argv in (a for a in PRESET_PINS if a[0] != "export-dot"):
+        code, out, _ = run(capsys, argv[0], preset_files["preset"], *argv[1:])
+        assert code == 0
+        assert sha256(out) == PRESET_PINS[argv]
+    for before, after, *flags in SENSITIVITY_PINS:
+        code, out, _ = run(capsys, "sensitivity", preset_files[before], preset_files[after],
+                           *flags)
+        assert code == 0
+        assert sha256(out) == SENSITIVITY_PINS[(before, after, *flags)]
 
 
 def test_preset_zero_mode_is_exact(capsys, preset_files):

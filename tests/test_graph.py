@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from lapcent import (DisconnectedError, EdgeListError, Graph, GraphError,
                      parse_edge_list, rewire, shortest_path_distances)
 from lapcent.graph import _adjacency, _shifted_laplacian
 
-from helpers import complete_graph, edge_loop, path_graph, random_connected
+from helpers import complete_graph, edge_loop, path_graph, random_connected, ring_chords
 
 
 class TestParse:
@@ -71,6 +73,24 @@ class TestParse:
         g = parse_edge_list("# comment\r\n0 1  # trailing\r\n\r\n1 2\r\n")
         assert g.m == 2
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings_keep_edges_and_line_numbers(self, newline):
+        lines = ["# header", "0 1", "", "1 2 2.5"]
+        g = parse_edge_list(newline.join(lines) + newline)
+        assert g.edges == ((0, 1, 1.0), (1, 2, 2.5))
+        with pytest.raises(EdgeListError, match="line 5: self-loop") as ei:
+            parse_edge_list(newline.join(lines + ["2 2"]))
+        assert ei.value.line == 5
+
+    def test_form_feed_in_a_comment_ends_no_line(self):
+        # str.splitlines also splits at \v, \f, \x1c-\x1e, \x85, U+2028, U+2029
+        g = parse_edge_list("0 1 # a\x0cb\n1 2\n")
+        assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+
+    def test_line_separator_in_a_comment_keeps_line_numbers(self):
+        with pytest.raises(EdgeListError, match="line 3: expected 'u v \\[w\\]', got 'bad'"):
+            parse_edge_list("# note\u2028more\n0 1\nbad\n")
+
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             parse_edge_list("# nothing\n")
@@ -107,11 +127,64 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             Graph(2, [(0, 1, -1.0)])
 
+    def test_rejects_non_integral_node_id(self):
+        # int() used to truncate these to the edges (0, 1) and (1, 2)
+        with pytest.raises(GraphError, match=r"non-integer node id in edge \(0.5,1\)") as ei:
+            Graph(3, [(0, 2), (0.5, 1), (1.9, 2)])
+        assert ei.value.edge == 1
+
+    def test_accepts_integral_node_ids_of_any_type(self):
+        g = Graph(3, [(1.0, 2.0), (np.int64(0), np.int32(1)), (np.float64(2), 0, 3)])
+        assert g.edges == ((0, 1, 1.0), (0, 2, 3.0), (1, 2, 1.0))
+
+    @pytest.mark.parametrize("edges, idx, message", [
+        ([(0, 1), (1, 0), (2, 2)], 1, r"duplicate edge \(1,0\)"),
+        ([(0, 1), (0, 1), (2, 2)], 1, r"duplicate edge \(0,1\)"),
+        ([(0, 1), (2, 2), (1, 0)], 1, "self-loop at node 2"),
+        ([(1, 0), (0, 1), (0, 9)], 1, r"duplicate edge \(0,1\)"),
+        ([(0, 1), (0, 9), (1, 0)], 1, r"edge \(0,9\) references a node outside 0..3"),
+        ([(0, 1), (1, 0), (1, 2, -1.0)], 1, r"duplicate edge \(1,0\)"),
+        ([(0, 1), (1, 2, 0.0), (0, 1)], 1, r"weight 0.0 on edge \(1,2\)"),
+        ([(2, 3), (0, 1), (3, 2, 1.5), (1, 1)], 2, r"duplicate edge \(3,2\)"),
+    ], ids=["dup-rev-then-loop", "dup-then-loop", "loop-then-dup", "dup-then-range",
+            "range-then-dup", "dup-then-weight", "weight-then-dup", "dup-third"])
+    def test_first_faulty_edge_is_reported_by_its_own_fault(self, edges, idx, message):
+        with pytest.raises(GraphError, match=message) as ei:
+            Graph(4, edges)
+        assert ei.value.edge == idx
+
+    def test_stores_the_edge_arrays_alone(self):
+        g = Graph(4, [(2, 3, 0.5), (1, 0), (3, 0, 2.0)])
+        assert "edges" not in vars(g)
+        u, v, w = vars(g)["edge_arrays"]
+        assert (u.tolist(), v.tolist(), w.tolist()) == ([0, 0, 2], [1, 3, 3], [1.0, 2.0, 0.5])
+        assert (u.dtype, v.dtype, w.dtype) == (np.int64, np.int64, np.float64)
+        assert g.edges == ((0, 1, 1.0), (0, 3, 2.0), (2, 3, 0.5))
+        assert g.edges is not g.edges  # built on each read, never cached
+
     @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_weight(self, w):
         # a NaN weight used to pass `w <= 0` and turn every C* into NaN
         with pytest.raises(GraphError, match="finite"):
             Graph(3, [(0, 1, w), (1, 2, 1.0)])
+
+
+def test_held_memory_per_edge():
+    # Graph holds its edges once, as three 8-byte columns: the tuple record it
+    # kept as well held about 165 B/edge after parsing, 248 with the views
+    n = 5000
+    text = format_edge_list(ring_chords(np.random.default_rng(n), n,
+                                        lambda rng, m: rng.uniform(0.5, 2.0, m)))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        parsed = tracemalloc.get_traced_memory()[0] / g.m
+        g.degrees, g.csr(), is_connected(g)
+        viewed = tracemalloc.get_traced_memory()[0] / g.m
+    finally:
+        tracemalloc.stop()
+    assert parsed <= 48, f"{parsed:.1f} B/edge held after parsing > pin 48"
+    assert viewed <= 100, f"{viewed:.1f} B/edge held with degrees, CSR and search > pin 100"
 
 
 class TestConnectivity:
