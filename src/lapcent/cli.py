@@ -76,7 +76,7 @@ def cmd_hitting(args) -> int:
     if args.method == "exact":
         ht = hitting_times_exact(g)
         out["hitting"] = float(ht.H[i, j])
-        out["commute"] = float(ht.C[i, j])
+        out["commute"] = float(ht.H[i, j] + ht.H[j, i])  # C[i, j], without forming C
     elif args.method == "mc":
         est = estimate_hitting_mc(g, i, j, args.runs, args.seed)
         out["estimate"] = est.to_dict()

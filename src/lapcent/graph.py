@@ -6,11 +6,11 @@ graphs (all weights 1.0) fall back to plain hop counts.
 
 `Graph` is the one place that applies the edge rules. It stores its edges
 once, as read-only arrays, and owns the views derived from them (degrees,
-volume, CSR, breadth-first search, geodesic distances): each is computed on
-first use, cached and returned read-only. The one search serves the
-components and the rooting of a tree (`lapcent.forests`). The distances are
-the only n x n view kept; every other dense matrix is built by
-`_edge_matrix` in the routine that reads it.
+volume, the CSR's neighbours and the walks' running sums, search, geodesic
+distances): each is computed on first use, cached and returned read-only.
+The one search serves the components and the rooting of a tree
+(`lapcent.forests`). The distances are the only n x n view kept; every
+other dense matrix is built by `_edge_matrix` in the routine that reads it.
 """
 
 from __future__ import annotations
@@ -114,22 +114,26 @@ class Graph:
     def csr(self):
         """(indptr, neighbors, cumweights) with neighbors sorted per node.
 
-        cumweights holds, within each node's slice, the running sum of
-        incident edge weights; the last entry of a slice equals d(i).
+        cumweights, summed on the first call (only the walks read it), holds
+        each node's running sum of incident edge weights, ending at d(i).
         """
-        return self._csr
+        return (*self._neighbors, self._cumw)
+
+    def _slots(self):
+        # the doubled entries are listed under v, then u; a stable sort keeps edge order per node
+        return np.argsort(np.concatenate(self.edge_arrays[1::-1]), kind="stable")
 
     @cached_property
-    def _csr(self):
-        # a stable sort by node keeps edge order: lower neighbours, then upper, each ascending
-        u, v, w = self.edge_arrays
-        owner = np.concatenate([v, u])  # the node each doubled edge entry is listed under
-        order = np.argsort(owner, kind="stable")
-        indptr = np.zeros(self.n + 1, np.int64)
-        np.cumsum(np.bincount(owner, minlength=self.n), out=indptr[1:])
-        ws = np.concatenate([w, w])[order].tolist()
-        cumw = [c for a, b in pairwise(indptr.tolist()) for c in accumulate(ws[a:b])]
-        return _frozen(indptr), _frozen(np.concatenate([u, v])[order]), _frozen(np.array(cumw))
+    def _neighbors(self):  # (indptr, neighbors): the CSR that the search reads
+        ends = np.concatenate(self.edge_arrays[:2])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=self.n))])
+        return _frozen(indptr), _frozen(ends[self._slots()])
+
+    @cached_property
+    def _cumw(self):
+        ws = np.tile(self.edge_arrays[2], 2)[self._slots()].tolist()
+        return _frozen(np.array([c for a, b in pairwise(self._neighbors[0].tolist())
+                                 for c in accumulate(ws[a:b])]))
 
     @cached_property
     def _search(self):
@@ -174,12 +178,16 @@ def _shifted_laplacian(g: Graph, scale=1.0, shift=0.0):
 # -- construction ------------------------------------------------------
 
 
+def _ascii_number(kind, token):  # int() and float() also read `_` and non-ASCII digits
+    return kind(token if token.isascii() and "_" not in token else "")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v [w]" lines into a Graph.
 
     Lines end only at LF, CRLF or a lone CR; "#" starts a comment; blank lines
-    are skipped. Node ids must be the dense range 0..n-1. A malformed line, or
-    an edge that Graph rejects (self-loop, weight that is not positive and
+    are skipped. Numerals are ASCII; ids are the dense range 0..n-1. A bad
+    line, or an edge that Graph rejects (self-loop, weight not positive and
     finite, duplicate), rejects the whole input with its line number.
     """
     edges, lines = [], []
@@ -191,13 +199,13 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) not in (2, 3):
             raise EdgeListError(f"expected 'u v [w]', got {raw.strip()!r}", ln)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ascii_number(int, parts[0]), _ascii_number(int, parts[1])
         except ValueError:
             raise EdgeListError(f"non-integer node id in {raw.strip()!r}", ln) from None
         if u < 0 or v < 0:
             raise EdgeListError("negative node id", ln)
         try:
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            w = _ascii_number(float, parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise EdgeListError(f"bad weight {parts[2]!r}", ln) from None
         edges.append((u, v, w))
@@ -246,7 +254,7 @@ def _breadth_first(g: Graph):
     id order: (order, parent, bounds). order lists the nodes as visited,
     parent[v] is the node v was reached from (-1 at a search root), and the
     k-th component is order[bounds[k]:bounds[k + 1]]."""
-    indptr, nbrs = (a.tolist() for a in g.csr()[:2])
+    indptr, nbrs = (a.tolist() for a in g._neighbors)
     order, parent, bounds, head = [], [-2] * g.n, [], 0
     for s in range(g.n):
         if parent[s] != -2:

@@ -6,12 +6,13 @@ come from the chain's fundamental matrix (one dense inverse, of L / d + pi),
 deliberately independent of L+, so the identities that `lapcent.verify`
 checks compare two independent routes rather than one route with itself.
 The detour overhead reads the table at node ids or at index arrays, so a
-sweep over every triple is one array expression.
+sweep over every triple is one array expression; C is formed on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,11 +22,14 @@ from .graph import Graph, GraphError, _shifted_laplacian, require_connected, req
 
 @dataclass(frozen=True)
 class HittingTable:
-    """H[i, j] = expected steps i -> j; C = H + H.T; vol = Vol(G)."""
+    """H[i, j] = expected steps i -> j; vol = Vol(G); C = H + H.T, formed on first read."""
 
     H: np.ndarray
-    C: np.ndarray
     vol: float
+
+    @cached_property
+    def C(self):
+        return self.H + self.H.T
 
 
 def _volume(g: Graph) -> float:
@@ -58,7 +62,7 @@ def hitting_times_exact(g: Graph) -> HittingTable:
     n = g.n
     vol = _volume(g)
     if n == 1:  # Vol(G) = 0 leaves pi undefined, and there is nothing to hit
-        return HittingTable(H=np.zeros((1, 1)), C=np.zeros((1, 1)), vol=vol)
+        return HittingTable(H=np.zeros((1, 1)), vol=vol)
     d = g.degrees
     pi = d / vol
     m = _shifted_laplacian(g)
@@ -68,7 +72,7 @@ def hitting_times_exact(g: Graph) -> HittingTable:
     H = np.subtract(np.diag(Z), Z, out=m)  # m is read no more
     H /= pi
     np.fill_diagonal(H, 0.0)
-    return HittingTable(H=H, C=H + H.T, vol=vol)
+    return HittingTable(H=H, vol=vol)
 
 
 def detour_overhead(ht: HittingTable, i, k, j):

@@ -817,7 +817,7 @@ def test_analyze_output_bytes(capsys, tmp_path, flags):
 # sensitivity, gb's tie-test arrays held through its path-count passes, and
 # for sensitivity also the first graph held while the second is described.
 MEMORY_PINS = {
-    "hitting": (("hitting", "{w}", "-i", "0", "-j", "1"), 3.8),  # 4.32 -> 3.32
+    "hitting": (("hitting", "{w}", "-i", "0", "-j", "1"), 2.75),  # 4.32 -> 3.32; 3.26 -> 2.24
     "compare": (("compare", "{w}"), 17.5),  # 19.34 -> 16.09
     "sensitivity": (("sensitivity", "{u}", "{u}", "--json"), 20.0),  # 21.99 -> 17.92
     "export-dot-gb": (("export-dot", "{w}", "--metric", "gb"), 17.5),  # 19.30 -> 16.04
@@ -891,6 +891,30 @@ def test_numeric_commands_never_read_the_edge_tuples(capsys, preset_files, monke
                            *flags)
         assert code == 0
         assert sha256(out) == SENSITIVITY_PINS[(before, after, *flags)]
+
+
+def test_only_the_walks_read_the_running_weight_sums(capsys, preset_files, monkeypatch):
+    # Graph.csr sums cumw, which only picks Monte Carlo steps; the search
+    # reads the neighbours alone
+    def refuse(self):
+        raise AssertionError("Graph.csr read")
+
+    monkeypatch.setattr(graph.Graph, "csr", refuse)
+    for argv in (a for a in PRESET_PINS if "mc" not in a):
+        code, out, _ = run(capsys, argv[0], preset_files["preset"], *argv[1:])
+        assert code == 0
+        assert sha256(out) == PRESET_PINS[argv]
+    for before, after, *flags in SENSITIVITY_PINS:
+        code, out, _ = run(capsys, "sensitivity", preset_files[before], preset_files[after],
+                           *flags)
+        assert code == 0
+        assert sha256(out) == SENSITIVITY_PINS[(before, after, *flags)]
+    for metric in zoo.CentralityReport.PER_NODE:
+        code, out, _ = run(capsys, "export-dot", preset_files["preset"], "--metric", metric)
+        assert code == 0
+        assert sha256(out) == EXPORT_DOT_PINS[("preset", metric)]
+    with pytest.raises(AssertionError, match="Graph.csr read"):
+        main(["hitting", preset_files["preset"], "-i", "0", "-j", "30", "--method", "mc"])
 
 
 def test_preset_zero_mode_is_exact(capsys, preset_files):

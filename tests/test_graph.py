@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -91,6 +92,22 @@ class TestParse:
         with pytest.raises(EdgeListError, match="line 3: expected 'u v \\[w\\]', got 'bad'"):
             parse_edge_list("# note\u2028more\n0 1\nbad\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 \u0661", "non-integer node id in '0 \u0661'"),
+        ("\uff10 1", "non-integer node id in '\uff10 1'"),
+        ("0 1_0", "non-integer node id in '0 1_0'"),
+        ("0 1 1_000", "bad weight '1_000'"),
+        ("0 1 \u0661\u0660", "bad weight '\u0661\u0660'"),
+    ], ids=["arabic-indic-id", "fullwidth-id", "separator-id", "separator-weight",
+            "arabic-indic-weight"])
+    def test_numerals_must_be_ascii(self, text, message):
+        # int() and float() also read `_` separators and any Unicode decimal digit
+        with pytest.raises(EdgeListError, match=re.escape(f"line 1: {message}")):
+            parse_edge_list(text)
+
+    def test_leading_plus_is_accepted(self):
+        assert parse_edge_list("+0 +1 +2.5\n").edges == ((0, 1, 2.5),)
+
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             parse_edge_list("# nothing\n")
@@ -179,12 +196,24 @@ def test_held_memory_per_edge():
     try:
         g = parse_edge_list(text)
         parsed = tracemalloc.get_traced_memory()[0] / g.m
-        g.degrees, g.csr(), is_connected(g)
+        g.degrees, is_connected(g)
+        searched = tracemalloc.get_traced_memory()[0] / g.m
+        g.csr()
         viewed = tracemalloc.get_traced_memory()[0] / g.m
     finally:
         tracemalloc.stop()
     assert parsed <= 48, f"{parsed:.1f} B/edge held after parsing > pin 48"
+    # the search reads the CSR's neighbours; its running weight sums wait for a walk
+    assert searched <= 68, f"{searched:.1f} B/edge held with degrees and search > pin 68"
     assert viewed <= 100, f"{viewed:.1f} B/edge held with degrees, CSR and search > pin 100"
+
+
+def test_search_leaves_the_running_sums_to_the_walks():
+    g = ring_chords(np.random.default_rng(0), 40, lambda rng, m: rng.uniform(0.5, 2.0, m))
+    assert is_connected(g)
+    assert "_cumw" not in vars(g)
+    cumw = g.csr()[2]
+    assert vars(g)["_cumw"] is cumw is g.csr()[2]
 
 
 class TestConnectivity:

@@ -55,6 +55,13 @@ class TestExactHitting:
                                        weighted=bool(rng.integers(2)))
             assert within_bounds(check_commute_resistance.residual(routes(g)), g.n)
 
+    def test_commute_table_is_formed_on_first_read(self):
+        ht = hitting_times_exact(path_graph(4))
+        assert "C" not in vars(ht)
+        C = ht.C
+        assert vars(ht)["C"] is C is ht.C
+        assert np.array_equal(C, ht.H + ht.H.T)
+
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             hitting_times_exact(Graph(4, [(0, 1), (2, 3)]))
