@@ -34,10 +34,10 @@ def cmd_analyze(args) -> int:
                            spectral_report, topological_centrality)
 
     g = load_edge_list(args.graph)
-    b = build_spectral(g)
     if args.json:  # the only form that prints the spectrum
-        _dump_json(spectral_report(b), args.output)
+        _dump_json(spectral_report(g), args.output)
         return 0
+    b = build_spectral(g)
     rows = list(enumerate(zip(b.diag.tolist(), topological_centrality(b).tolist())))
     if args.csv:
         lines = ["node,label,lplus_diag,cstar"]

@@ -186,13 +186,17 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v [w]" lines into a Graph.
 
     Lines end only at LF, CRLF or a lone CR; "#" starts a comment; blank lines
-    are skipped. Numerals are ASCII; ids are the dense range 0..n-1. A bad
-    line, or an edge that Graph rejects (self-loop, weight not positive and
-    finite, duplicate), rejects the whole input with its line number.
+    are skipped. Fields split only at ASCII whitespace, and numerals are
+    ASCII; ids are the dense range 0..n-1. A bad line, or an edge that Graph
+    rejects (self-loop, weight not positive and finite, duplicate), rejects
+    the whole input with its line number.
     """
     edges, lines = [], []
     for ln, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
+        if not line.isascii() and any(c.isspace() and not c.isascii() for c in line):
+            raise EdgeListError(f"non-ASCII whitespace in {line!r}", ln)  # str.split() splits there
+        line = line.strip()
         if not line:
             continue
         parts = line.split()

@@ -11,10 +11,11 @@ with M = C C^T and F = C^-T
 The scale s is the power of two nearest the mean degree Vol/n: it keeps the
 rank-one shift on the scale of L whatever the weight units, and dividing by
 a power of two is exact. M is filled entrywise from the edge arrays (the
-bits of `L / s + 1/n` without forming L; here only `spectral_report` does),
-so the factorization holds three n x n arrays at its peak: M, LAPACK's
-working copy and the returned factor. C is inverted by block recursion (LAPACK
-inverses of diagonal blocks of at most `LEAF` rows, matrix products for the rest).
+bits of `L / s + 1/n` without forming L) and factored in place by a
+left-looking blocked Cholesky, `PANEL` columns per LAPACK call: M is the
+one n x n array, next to strips of PANEL columns. C is inverted in place by
+block recursion (LAPACK inverses of blocks of at most `LEAF` rows, products
+for the rest).
 The diagonal of L+, which is all C* and K need, comes from the row norms of
 F; the n x n L+ is formed only when a caller reads `SpectralBundle.lplus`.
 
@@ -44,6 +45,7 @@ from .graph import Graph, GraphError, _frozen, _shifted_laplacian, require_conne
 
 KIRCHHOFF_CONVENTION = "trace"  # K = Tr(L+), no factor n
 LEAF = 128  # largest diagonal block inverted by LAPACK
+PANEL = 512  # columns factored per LAPACK Cholesky call
 RHO_MAX = 1e-3  # largest accepted certificate rho
 EPS = float(np.finfo(np.float64).eps)
 
@@ -108,6 +110,22 @@ def _invert_lower(c):
     np.negative(b, out=b)
 
 
+def _cholesky_in_place(a):
+    """Overwrite the positive definite a with its lower Cholesky factor, one
+    LAPACK call per panel (one in all, np.linalg.cholesky's bits, for n <= PANEL)."""
+    n = len(a)
+    for j in range(0, n, PANEL):
+        k = min(j + PANEL, n)
+        if j:
+            a[j:, j:k] -= a[j:, :j] @ a[j:k, :j].T
+        a[j:k, j:k] = np.linalg.cholesky(a[j:k, j:k])
+        a[j:k, k:] = 0.0
+        if k < n:
+            inv = a[j:k, j:k].copy()
+            _invert_lower(inv)
+            a[k:, j:k] = a[k:, j:k] @ inv.T
+
+
 def _shift_scale(mean_degree):
     """The power of two nearest the mean degree, within the float64 range."""
     if not 0.0 < mean_degree < math.inf:
@@ -140,8 +158,9 @@ def build_spectral(g: Graph) -> SpectralBundle:
     n = g.n
     s = _shift_scale(g.volume / n)
     with np.errstate(all="ignore"):
+        c = _shifted_laplacian(g, s, 1.0 / n)
         try:
-            c = np.linalg.cholesky(_shifted_laplacian(g, s, 1.0 / n))
+            _cholesky_in_place(c)
         except np.linalg.LinAlgError:
             raise _unresolved(g, "rho = nan, the Cholesky factorization failed") from None
         _invert_lower(c)
@@ -177,15 +196,21 @@ def resistance_matrix(b: SpectralBundle) -> np.ndarray:
     return effective_resistance(b, *np.ix_(range(b.n), range(b.n)))
 
 
-def spectral_report(b: SpectralBundle) -> dict:
-    """JSON-ready report: per-node diagonal and C*, graph-level K, K* and the
-    Laplacian spectrum (descending, so the zero mode comes last). The graph
-    is connected, so exactly one eigenvalue is zero; it is reported as 0.0
-    rather than as rounding noise of either sign."""
+def spectral_report(g: Graph) -> dict:
+    """JSON-ready report of a connected graph: per-node diagonal and C*,
+    graph-level K, K* and the Laplacian spectrum (descending; the one zero
+    eigenvalue is reported as 0.0, not as rounding noise of either sign).
+    The spectrum comes first, so no factor is alive next to L and its copy."""
+    require_connected(g, "spectral bundle")
+    try:
+        evals = np.linalg.eigvalsh(_shifted_laplacian(g))[::-1]
+    except np.linalg.LinAlgError:
+        build_spectral(g)  # a graph it refuses gets its refusal, not eigvalsh's
+        raise
+    evals[-1] = 0.0
+    b = build_spectral(g)
     cstar = topological_centrality(b)
     k, kstar = kirchhoff_index(b)
-    evals = np.linalg.eigvalsh(_shifted_laplacian(b.graph))[::-1]
-    evals[-1] = 0.0
     diag = b.diag
     nodes = [
         {

@@ -31,3 +31,12 @@ def exact_lplus_diag(g):
                 m[i] = [a - f * b for a, b in zip(m[i], m[k])]
                 inv[i] = [a - f * b for a, b in zip(inv[i], inv[k])]
     return [inv[i][i] - shift for i in range(n)]
+
+
+def assert_within_rho(diag, cstar, kirchhoff, exact, rho):
+    """README's promise: each l+_ii, C*(i) = 1/l+_ii and K = Tr(L+) is within
+    relative rho of its exact value, from `exact` = exact_lplus_diag(g)."""
+    rho = Fraction(rho)
+    pairs = [*zip(diag, exact), *zip(cstar, (1 / x for x in exact)), (kirchhoff, sum(exact))]
+    for got, want in pairs:
+        assert abs(Fraction(got) - want) <= rho * want, (got, want)

@@ -5,7 +5,7 @@ deliberately independent of the package's own computation routes."""
 from itertools import combinations
 
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from lapcent import Graph, build_spectral, hitting_times_exact
 from lapcent.verify import (Gap, Routes, bound, complete_graph, cycle_graph, path_graph,
@@ -39,14 +39,15 @@ def ring_chords(rng, n, weights):
 
 
 @st.composite
-def wide_weight_graphs(draw):
-    """Edge-list text of connected graphs (a random tree plus extra edges)
-    with weights 10^U(-20, 3)."""
-    n = draw(st.integers(2, 9))
+def wide_weight_graphs(draw, max_n=9, lo=-20.0, cycle=False):
+    """Edge-list text of connected graphs (a random tree plus extra edges,
+    with a cycle when `cycle`) on 2..max_n nodes with weights 10^U(lo, 3)."""
+    n = draw(st.integers(3 if cycle else 2, max_n))
     pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                               .filter(lambda p: p[0] < p[1]), max_size=n)))
-    exps = draw(st.lists(st.floats(-20.0, 3.0), min_size=len(pairs), max_size=len(pairs)))
+                               .filter(lambda p: p[0] < p[1]), min_size=int(cycle), max_size=n)))
+    assume(len(pairs) >= n or not cycle)  # a connected graph with n edges has a cycle
+    exps = draw(st.lists(st.floats(lo, 3.0), min_size=len(pairs), max_size=len(pairs)))
     return "".join(f"{u} {v} {10.0 ** e!r}\n" for (u, v), e in zip(sorted(pairs), exps))
 
 

@@ -19,6 +19,7 @@ from lapcent import (SpectralBundle, abilene_topology, electrical, format_edge_l
                      spectral, topology, verify, walks, zoo)
 from lapcent.cli import main
 
+from exact import assert_within_rho, exact_lplus_diag
 from helpers import ring_chords, wide_weight_graphs
 
 P3 = "0 1\n1 2\n"
@@ -128,13 +129,34 @@ class TestAnalyze:
         ("0 1 1\n1 2 1e-14\n", "rho = 0.0886 exceeds 0.001"),
         ("0 1 1\n1 2 1e-17\n", "rho = 18 exceeds 0.001"),
         ("0 1 1e-310\n", "rho = inf is not finite"),  # l+_ii = 1/(4w) overflows
-    ], ids=["p3-1e-14", "p3-1e-17", "subnormal"])
+        ("0 1 1e308\n1 2 1e308\n", "rho = nan is not finite"),  # d_1 = inf: eigvalsh fails
+    ], ids=["p3-1e-14", "p3-1e-17", "subnormal", "degree-overflow"])
     def test_unresolvable_lplus_exit_2(self, capsys, tmp_path, text, match):
         path = tmp_path / "g.el"
         path.write_text(text)
         code, out, err = run(capsys, "analyze", str(path), "--json")
         assert code == 2 and out == ""
         assert match in err and "edge weights span" in err
+
+    def test_json_takes_the_spectrum_with_no_factor_alive(self, capsys, p3_file, monkeypatch):
+        # L and eigvalsh's copy of it are the two n x n arrays of --json; a
+        # bundle alive then would hold its factor as a third
+        bundles, calls = [], []
+        init, eigvalsh = SpectralBundle.__init__, np.linalg.eigvalsh
+
+        def tracked_init(self, *args):
+            bundles.append(weakref.ref(self))
+            init(self, *args)
+
+        def checked_eigvalsh(a):
+            calls.append([ref() for ref in bundles if ref() is not None])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(SpectralBundle, "__init__", tracked_init)
+        monkeypatch.setattr(np.linalg, "eigvalsh", checked_eigvalsh)
+        code, out, _ = run(capsys, "analyze", p3_file, "--json")
+        assert code == 0 and json.loads(out)["graph"]["eigenvalues"][-1] == 0.0
+        assert calls == [[]] and len(bundles) == 1
 
     def test_analyze_forms_neither_lplus_nor_adjacency(self, capsys, p3_file, monkeypatch):
         # every dense matrix but L+ comes from graph._edge_matrix; record the
@@ -145,11 +167,11 @@ class TestAnalyze:
         fills = []
         monkeypatch.setattr(SpectralBundle, "lplus", property(refuse))
         watch_edge_matrix(monkeypatch, fills.append)
-        for fmt, want in (((), [1 / 3]), (("--json",), [1 / 3, 0.0]), (("--csv",), [1 / 3])):
+        for fmt, want in (((), [1 / 3]), (("--json",), [0.0, 1 / 3]), (("--csv",), [1 / 3])):
             fills.clear()
             code, out, _ = run(capsys, "analyze", p3_file, *fmt)
             assert code == 0 and out
-            assert fills == want  # M, and L for the spectrum of --json alone
+            assert fills == want  # M, after L for the spectrum of --json alone
 
 
 def run_on_graph(text, *argv):
@@ -187,6 +209,21 @@ def test_analyze_exits_0_with_finite_numbers_or_2_with_a_message(text):
     assert all(math.isfinite(x) for x in numbers)
     assert rep["graph"]["kirchhoff"] > 0
     assert all(node["lplus_diag"] > 0 for node in rep["nodes"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_weight_graphs(max_n=12, lo=-14.0, cycle=True))
+def test_analyze_prints_values_within_rho_of_exact_or_refuses(text):
+    # README's promise through the CLI: each printed l+_ii, C*(i) and K is
+    # within relative rho of the exact value, or analyze exits 2 (rho itself
+    # is not printed, so it is read from the bundle of the same input)
+    code, out, err = run_on_graph(text, "analyze", "{}", "--json")
+    if refused_with_a_message(code, out, err):
+        return
+    g, rep = graph.parse_edge_list(text), json.loads(out)
+    assert_within_rho([node["lplus_diag"] for node in rep["nodes"]],
+                      [node["cstar"] for node in rep["nodes"]], rep["graph"]["kirchhoff"],
+                      exact_lplus_diag(g), spectral.build_spectral(g).rho)
 
 
 @settings(max_examples=40, deadline=None)
@@ -843,6 +880,29 @@ def test_peak_memory(capsys, tmp_path, name):
     capsys.readouterr()
     assert code == 0
     assert peak <= pin * 8 * n * n, f"{peak / (8 * n * n):.2f} x 8n^2 > pin {pin}"
+
+
+def test_analyze_peak_memory_past_one_panel(capsys, tmp_path):
+    # text analyze at n > PANEL: M, factored in place, is the one n x n array,
+    # next to panel strips and the inverse's block products. The pin sits
+    # between the peak of returning a new factor (2.04 x 8n^2 at n = 700) and
+    # the peak now (1.78). tracemalloc cannot see numpy.linalg's internal
+    # copies (plain malloc), so a whole-matrix LAPACK call would hide its copy
+    n = 700
+    assert n > spectral.PANEL
+    path = tmp_path / "g.el"
+    path.write_text(format_edge_list(
+        ring_chords(np.random.default_rng(n), n, lambda rng, m: rng.uniform(0.5, 2.0, m))))
+    assert run(capsys, "analyze", str(path))[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(["analyze", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 1.9 * 8 * n * n, f"{peak / (8 * n * n):.2f} x 8n^2 > pin 1.9"
 
 
 def test_analyze_text_and_csv_never_form_the_laplacian(capsys, preset_files, monkeypatch):

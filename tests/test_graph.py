@@ -105,6 +105,22 @@ class TestParse:
         with pytest.raises(EdgeListError, match=re.escape(f"line 1: {message}")):
             parse_edge_list(text)
 
+    @pytest.mark.parametrize("text, shown", [
+        ("0\xa01", "0\\xa01"),
+        ("1\u30002", "1\\u30002"),
+        ("0 1\u20032.5", "0 1\\u20032.5"),
+        ("\u30000 1", "\\u30000 1"),
+    ], ids=["no-break-space", "ideographic-space", "em-space-before-weight", "leading"])
+    def test_fields_are_separated_by_ascii_whitespace(self, text, shown):
+        # str.split() and str.strip() also split at Unicode whitespace, so
+        # each of these parsed at exit 0, the third with weight 2.5
+        message = f"line 2: non-ASCII whitespace in '{shown}'"
+        with pytest.raises(EdgeListError, match=re.escape(message)):
+            parse_edge_list(f"0 2\n{text}\n")
+
+    def test_non_ascii_whitespace_in_a_comment_is_kept(self):
+        assert parse_edge_list("0 1 # a\u3000b\xa0\n1 2\n").edges == ((0, 1, 1.0), (1, 2, 1.0))
+
     def test_leading_plus_is_accepted(self):
         assert parse_edge_list("+0 +1 +2.5\n").edges == ((0, 1, 2.5),)
 
